@@ -16,6 +16,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "build (release)"
 cargo build --release --workspace
 
+# perfbench/ is a workspace of its own, so the workspace build above does
+# not compile it; building it here turns a change that breaks the public
+# API the benchmark calls into a CI failure.
+step "benchmark package builds against the public API (perfbench)"
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
+
 step "tests: tier-1 (root package)"
 cargo test -q
 

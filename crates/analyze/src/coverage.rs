@@ -648,14 +648,7 @@ pub fn check_scheme_coverage(
     b: usize,
     opts: &AbftOptions,
 ) -> CoverageReport {
-    let sharded = opts.shard.as_ref().is_some_and(|s| s.devices > 1);
-    let placement = if sharded {
-        hchol_core::options::ChecksumPlacement::Gpu
-    } else {
-        hchol_core::decision::choose(opts.placement, profile, n, b, opts.verify_interval)
-    };
-    let mut resolved = opts.clone();
-    resolved.placement = placement;
+    let resolved = hchol_core::decision::resolve(opts, profile, n, b);
     let plan = hchol_core::plan::for_scheme(kind, n / b, &resolved, false);
     check_coverage(kind, &plan, &resolved)
 }

@@ -20,7 +20,6 @@ const EXPERIMENTS: &[&str] = &[
     "fig16_17_performance",
     "ablation_block",
     "ablation_ecc",
-    "ablation_variant",
     "campaign_survival",
 ];
 

@@ -14,17 +14,10 @@
 //! Only the *shape* claim depends on this baseline ("Enhanced Online-ABFT
 //! is still faster than CULA"), not any absolute number.
 
-use crate::magma::BaselineReport;
-use crate::ops::{self};
-use crate::options::{AbftOptions, ChecksumPlacement};
-use crate::plan::exec::ExecConfig;
-use crate::schemes::AttemptCtx;
-use crate::span_util::scope;
-use hchol_faults::Injector;
+use crate::magma::{run_baseline, Baseline, BaselineReport};
 use hchol_gpusim::profile::SystemProfile;
-use hchol_gpusim::{ExecMode, SimContext};
+use hchol_gpusim::ExecMode;
 use hchol_matrix::{Matrix, MatrixError};
-use hchol_obs::Phase;
 
 /// Relative inefficiency of the simulated CULA BLAS versus MAGMA's
 /// (charged flops are inflated by this factor).
@@ -38,41 +31,14 @@ pub fn factor_cula(
     b: usize,
     input: Option<&Matrix>,
 ) -> Result<BaselineReport, MatrixError> {
-    let mut ctx = SimContext::new(profile.clone(), mode);
-    ctx.disable_timeline();
-    let run_span = ctx
-        .obs
-        .spans
-        .open(format!("CULA n={n} b={b}"), Phase::Run, 0.0);
-    let mut lay = scope!(
-        ctx,
-        "setup",
-        Phase::Setup,
-        ops::setup(&mut ctx, n, b, false, ChecksumPlacement::Gpu, input)
-    )?;
-    lay.flop_inflation = CULA_FLOP_INFLATION;
     // Fully synchronous driving: the Synchronous-style plan drains the
     // device after every step and runs POTF2 before the panel GEMM.
-    let plan = crate::plan::for_cula(lay.nt);
-    let mut inj = Injector::inert();
-    let opts = AbftOptions::default();
-    let mut a = AttemptCtx {
-        ctx: &mut ctx,
-        lay: &mut lay,
-        inj: &mut inj,
-        opts: &opts,
+    let cula = Baseline {
+        label: "CULA",
+        plan: crate::plan::for_cula,
+        flop_inflation: CULA_FLOP_INFLATION,
     };
-    crate::plan::exec::run_attempt(&plan, &mut a, &ExecConfig::default())?;
-    let time = ctx.now();
-    ctx.obs.spans.close(run_span, time.as_secs());
-    let factor = ops::extract_factor(&ctx, &lay);
-    Ok(BaselineReport {
-        n,
-        b,
-        time,
-        factor,
-        ctx,
-    })
+    run_baseline(&cula, profile, mode, n, b, input, false)
 }
 
 #[cfg(test)]

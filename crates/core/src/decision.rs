@@ -20,7 +20,7 @@
 //! why the paper lands on GPU updating for Bulldozer64 and CPU updating for
 //! Tardis.
 
-use crate::options::ChecksumPlacement;
+use crate::options::{AbftOptions, ChecksumPlacement};
 use hchol_gpusim::profile::{KernelClass, SystemProfile};
 
 /// The paper's closed-form inputs and both predicted times, in seconds.
@@ -95,6 +95,20 @@ pub fn choose(
             }
         }
     }
+}
+
+/// The options a run of size `n`, block `b` on `profile` actually uses:
+/// `opts` with its placement resolved. Sharded runs pin checksum updating
+/// to the owning GPU; otherwise [`choose`] decides. Every driver and
+/// static checker resolves placement through this one rule.
+pub fn resolve(opts: &AbftOptions, profile: &SystemProfile, n: usize, b: usize) -> AbftOptions {
+    let mut resolved = opts.clone();
+    resolved.placement = if opts.is_sharded() {
+        ChecksumPlacement::Gpu
+    } else {
+        choose(opts.placement, profile, n, b, opts.verify_interval)
+    };
+    resolved
 }
 
 #[cfg(test)]

@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capacity;
 pub mod checksum;
 pub mod chkops;
 pub mod cula;
@@ -41,10 +40,8 @@ pub mod magma;
 pub mod multichk;
 pub mod ops;
 pub mod options;
-pub mod outer;
 pub mod overhead;
 pub mod plan;
-pub mod rowchk;
 pub mod schemes;
 pub mod solve;
 mod span_util;

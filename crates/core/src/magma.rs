@@ -15,6 +15,7 @@
 use crate::ops;
 use crate::options::{AbftOptions, ChecksumPlacement};
 use crate::plan::exec::ExecConfig;
+use crate::plan::FactorPlan;
 use crate::schemes::AttemptCtx;
 use crate::span_util::scope;
 use hchol_faults::Injector;
@@ -76,6 +77,35 @@ pub fn factor_magma(
     input: Option<&Matrix>,
     record_timeline: bool,
 ) -> Result<BaselineReport, MatrixError> {
+    let magma = Baseline {
+        label: "MAGMA",
+        plan: crate::plan::for_magma,
+        flop_inflation: 1.0,
+    };
+    run_baseline(&magma, profile, mode, n, b, input, record_timeline)
+}
+
+/// What distinguishes one non-fault-tolerant baseline from another.
+pub(crate) struct Baseline {
+    /// Run-span label prefix.
+    pub label: &'static str,
+    /// Plan builder, given the grid size.
+    pub plan: fn(usize) -> FactorPlan,
+    /// Multiplier on charged kernel flops ([`ops::CholLayout::flop_inflation`]).
+    pub flop_inflation: f64,
+}
+
+/// The one baseline driver: set up an unprotected layout, then run the
+/// baseline's plan once through the plan executor with an inert injector.
+pub(crate) fn run_baseline(
+    baseline: &Baseline,
+    profile: &SystemProfile,
+    mode: ExecMode,
+    n: usize,
+    b: usize,
+    input: Option<&Matrix>,
+    record_timeline: bool,
+) -> Result<BaselineReport, MatrixError> {
     let mut ctx = SimContext::new(profile.clone(), mode);
     if !record_timeline {
         ctx.disable_timeline();
@@ -83,14 +113,15 @@ pub fn factor_magma(
     let run_span = ctx
         .obs
         .spans
-        .open(format!("MAGMA n={n} b={b}"), Phase::Run, 0.0);
+        .open(format!("{} n={n} b={b}", baseline.label), Phase::Run, 0.0);
     let mut lay = scope!(
         ctx,
         "setup",
         Phase::Setup,
         ops::setup(&mut ctx, n, b, false, ChecksumPlacement::Gpu, input)
     )?;
-    let plan = crate::plan::for_magma(lay.nt);
+    lay.flop_inflation = baseline.flop_inflation;
+    let mut plan = (baseline.plan)(lay.nt);
     let mut inj = Injector::inert();
     let opts = AbftOptions::default();
     let mut a = AttemptCtx {
@@ -99,7 +130,7 @@ pub fn factor_magma(
         inj: &mut inj,
         opts: &opts,
     };
-    crate::plan::exec::run_attempt(&plan, &mut a, &ExecConfig::default())?;
+    crate::plan::exec::run_attempt(&mut plan, &mut a, &ExecConfig::default(), None)?;
     let time = ctx.now();
     ctx.obs.spans.close(run_span, time.as_secs());
     let factor = ops::extract_factor(&ctx, &lay);

@@ -30,7 +30,7 @@ pub struct CholLayout {
     pub n: usize,
     /// Block (tile) size.
     pub b: usize,
-    /// Grid size `n / b` (rounded up).
+    /// Grid size `n / b`.
     pub nt: usize,
     /// The matrix, tiled, on the device.
     pub mat: BufferId,
@@ -91,6 +91,11 @@ impl CholLayout {
 /// size `b`. `input` must be `Some` in Execute mode (its tiles are placed
 /// in device memory — the paper uses the MAGMA variant whose input already
 /// resides on the GPU, so no initial transfer is charged).
+///
+/// Refused before anything is allocated: `b == 0`
+/// ([`MatrixError::ZeroBlockSize`]), `n` not a multiple of `b` and a
+/// missing Execute-mode input ([`MatrixError::UnsupportedConfig`]), and an
+/// Execute-mode input that is not `n × n` ([`MatrixError::ShapeMismatch`]).
 pub fn setup<S: Scalar>(
     ctx: &mut SimContext<S>,
     n: usize,
@@ -128,16 +133,33 @@ fn setup_impl<S: Scalar>(
 ) -> Result<CholLayout, MatrixError> {
     assert!(
         !matches!(placement, ChecksumPlacement::Auto),
-        "resolve placement via decision::choose before setup"
+        "resolve placement via decision::resolve before setup"
     );
-    let nt = n.div_ceil(b.max(1));
+    if b == 0 {
+        return Err(MatrixError::ZeroBlockSize);
+    }
+    if !n.is_multiple_of(b) {
+        return Err(MatrixError::UnsupportedConfig(
+            "the matrix size must be a multiple of the block size",
+        ));
+    }
+    let nt = n / b;
     let execute = ctx.mode.executes();
-    let mat = if execute {
-        let dense = input.expect("Execute mode requires input data");
-        assert_eq!(dense.shape(), (n, n), "input shape mismatch");
-        ctx.dev_mem.alloc(TileMatrix::from_dense(dense, b)?)
-    } else {
-        ctx.dev_mem.alloc(TileMatrix::zeros(0, 0, b)?)
+    let mat = match (execute, input) {
+        (true, Some(dense)) if dense.shape() != (n, n) => {
+            return Err(MatrixError::ShapeMismatch {
+                op: "factorization input",
+                lhs: dense.shape(),
+                rhs: (n, n),
+            })
+        }
+        (true, Some(dense)) => ctx.dev_mem.alloc(TileMatrix::from_dense(dense, b)?),
+        (true, None) => {
+            return Err(MatrixError::UnsupportedConfig(
+                "Execute mode requires an input matrix",
+            ))
+        }
+        (false, _) => ctx.dev_mem.alloc(TileMatrix::zeros(0, 0, b)?),
     };
     let cks = if with_checksums {
         (0..nt)
@@ -1560,23 +1582,6 @@ pub fn lower_tiles(nt: usize) -> Vec<(usize, usize)> {
         }
     }
     v
-}
-
-/// Verify the whole lower triangle in bounded batches (used by the final
-/// checks of the Offline and Online schemes).
-pub fn verify_all<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &mut CholLayout,
-    inj: &mut Injector,
-    opts: &AbftOptions,
-) -> VerifyOutcome {
-    let mut out = VerifyOutcome::default();
-    let nt = lay.nt;
-    let all = lower_tiles(nt);
-    for chunk in all.chunks(256) {
-        out.merge(verify_batch(ctx, lay, inj, chunk, nt, opts));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------

@@ -271,6 +271,11 @@ impl Default for AbftOptions {
 }
 
 impl AbftOptions {
+    /// Does the run shard over more than one device?
+    pub fn is_sharded(&self) -> bool {
+        self.shard.as_ref().is_some_and(|s| s.devices > 1)
+    }
+
     /// Is iteration `j` one on which GEMM/TRSM inputs get verified?
     pub fn verifies_on(&self, j: usize) -> bool {
         j.is_multiple_of(self.verify_interval.max(1))

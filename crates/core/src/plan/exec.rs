@@ -28,7 +28,7 @@ use super::{DriveStyle, FactorPlan, NodeId, ScopeId, SweepKind, TaskKind, Update
 use crate::decision;
 use crate::ops;
 use crate::options::AbftOptions;
-use crate::schemes::{AttemptCtx, AttemptEnd, SchemeKind};
+use crate::schemes::{validate_options, AttemptCtx, AttemptEnd, SchemeKind};
 use crate::verify::VerifyOutcome;
 use hchol_faults::{InjectionPoint, Injector};
 use hchol_gpusim::profile::SystemProfile;
@@ -77,6 +77,7 @@ impl ExecConfig {
 }
 
 /// Per-attempt interpreter state.
+#[derive(Default)]
 struct ExecState {
     vo: VerifyOutcome,
     vo_final: VerifyOutcome,
@@ -89,22 +90,6 @@ struct ExecState {
     scope_span: Option<SpanId>,
 }
 
-impl ExecState {
-    fn new() -> Self {
-        ExecState {
-            vo: VerifyOutcome::default(),
-            vo_final: VerifyOutcome::default(),
-            saw_final: false,
-            restart_at_end: false,
-            pending_err: None,
-            cur_iter: None,
-            cur_scope: None,
-            iter_span: None,
-            scope_span: None,
-        }
-    }
-}
-
 enum StepOut {
     Continue,
     Restart,
@@ -115,9 +100,27 @@ fn close_span<S: Scalar>(ctx: &mut SimContext<S>, sp: SpanId) {
     ctx.obs.spans.close(sp, t);
 }
 
-/// Span/iteration boundary bookkeeping before executing `id`. A deferred
-/// POTF2 error (baselines) surfaces here, once its iteration's span has
-/// closed — exactly where the legacy loop checked the iteration result.
+/// Close the current iteration: its scope and iteration spans, then
+/// surface a deferred POTF2 error (baselines) — once its iteration's span
+/// has closed, exactly where the legacy loop checked the iteration result.
+fn end_iteration<S: Scalar>(
+    ctx: &mut SimContext<S>,
+    cfg: &ExecConfig,
+    st: &mut ExecState,
+) -> Result<(), MatrixError> {
+    if cfg.record_scopes {
+        for sp in [st.scope_span.take(), st.iter_span.take()]
+            .into_iter()
+            .flatten()
+        {
+            close_span(ctx, sp);
+        }
+    }
+    st.cur_scope = None;
+    st.pending_err.take().map_or(Ok(()), Err)
+}
+
+/// Span/iteration boundary bookkeeping before executing `id`.
 fn transition<S: Scalar>(
     plan: &FactorPlan,
     a: &mut AttemptCtx<'_, S>,
@@ -127,18 +130,7 @@ fn transition<S: Scalar>(
 ) -> Result<(), MatrixError> {
     let node = plan.node(id);
     if node.iter != st.cur_iter {
-        if cfg.record_scopes {
-            if let Some(sp) = st.scope_span.take() {
-                close_span(a.ctx, sp);
-            }
-            if let Some(sp) = st.iter_span.take() {
-                close_span(a.ctx, sp);
-            }
-        }
-        st.cur_scope = None;
-        if let Some(e) = st.pending_err.take() {
-            return Err(e);
-        }
+        end_iteration(a.ctx, cfg, st)?;
         st.cur_iter = node.iter;
         if cfg.record_scopes {
             if let Some(j) = node.iter {
@@ -399,15 +391,24 @@ fn step<S: Scalar>(
 
 /// Run one attempt of `plan` to completion (or restart / error), exactly
 /// as the legacy per-scheme attempt functions did.
+///
+/// With a feedback controller ([`BalanceController`]) the attempt is
+/// *balanced*: the controller is woken once per `update_interval`-th
+/// iteration boundary and may rewrite the not-yet-executed tail of `plan`
+/// in place. The cursor walks the issue order by position; rewrites only
+/// touch nodes of the current and later iterations, so executed positions
+/// never shift. `validate_options` confines balanced runs to in-order,
+/// unsharded plans.
 pub(crate) fn run_attempt<S: Scalar>(
-    plan: &FactorPlan,
+    plan: &mut FactorPlan,
     a: &mut AttemptCtx<'_, S>,
     cfg: &ExecConfig,
+    ctrl: Option<&mut BalanceController>,
 ) -> Result<(AttemptEnd, VerifyOutcome), MatrixError> {
     let mut rt = plan
         .shard
         .map(|spec| ShardRuntime::new(a.ctx, a.lay, spec, a.opts));
-    let out = run_attempt_inner(plan, a, cfg, &mut rt);
+    let out = run_attempt_inner(plan, a, cfg, &mut rt, ctrl);
     // Leave the layout pointing at shard 0's streams (the originals), so
     // post-attempt work — extraction, restart reload — stays well-formed.
     if let Some(r) = rt.as_mut() {
@@ -417,14 +418,14 @@ pub(crate) fn run_attempt<S: Scalar>(
 }
 
 fn run_attempt_inner<S: Scalar>(
-    plan: &FactorPlan,
+    plan: &mut FactorPlan,
     a: &mut AttemptCtx<'_, S>,
     cfg: &ExecConfig,
     rt: &mut Option<ShardRuntime>,
+    mut ctrl: Option<&mut BalanceController>,
 ) -> Result<(AttemptEnd, VerifyOutcome), MatrixError> {
-    let positions: Vec<usize> = if cfg.policy == IssuePolicy::InOrder {
-        (0..plan.len()).collect()
-    } else {
+    // `None` issues in authored order, where the plan may still grow.
+    let issue: Option<Vec<usize>> = (cfg.policy != IssuePolicy::InOrder).then(|| {
         let schedule = plan.to_schedule();
         let order = schedule.issue_order(cfg.policy);
         let moved = order.iter().enumerate().filter(|&(i, &p)| i != p).count();
@@ -435,27 +436,33 @@ fn run_attempt_inner<S: Scalar>(
             .add_count("plan.edges", plan.edge_count() as u64);
         a.ctx.obs.metrics.add_count("plan.reordered", moved as u64);
         order
-    };
-    let mut st = ExecState::new();
-    let order = plan.order();
-    for &pos in &positions {
-        match step(plan, a, cfg, &mut st, rt, order[pos]) {
-            Ok(StepOut::Continue) => {}
-            Ok(StepOut::Restart) => return Ok((AttemptEnd::Restart, st.vo)),
-            Err(e) => return Err(e),
-        }
+    });
+    if let Some(c) = ctrl.as_deref_mut() {
+        let util = a.ctx.engine_utilization();
+        c.prime(&util, a.inj.applied().len());
     }
-    if cfg.record_scopes {
-        if let Some(sp) = st.scope_span.take() {
-            close_span(a.ctx, sp);
+    let mut st = ExecState::default();
+    let mut woken: Option<usize> = None;
+    let mut k = 0usize;
+    while k < issue.as_ref().map_or(plan.len(), Vec::len) {
+        let pos = issue.as_ref().map_or(k, |o| o[k]);
+        if let Some(c) = ctrl.as_deref_mut() {
+            if let Some(j) = plan.node(plan.order()[pos]).iter {
+                if c.due(j) && woken != Some(j) {
+                    woken = Some(j);
+                    rebalance(plan, a, c, j);
+                }
+            }
         }
-        if let Some(sp) = st.iter_span.take() {
-            close_span(a.ctx, sp);
+        // Re-read the position: a rewrite may have inserted a check right
+        // here (in front of the old node), and that check runs first.
+        let id = plan.order()[pos];
+        if let StepOut::Restart = step(plan, a, cfg, &mut st, rt, id)? {
+            return Ok((AttemptEnd::Restart, st.vo));
         }
+        k += 1;
     }
-    if let Some(e) = st.pending_err.take() {
-        return Err(e);
-    }
+    end_iteration(a.ctx, cfg, &mut st)?;
     let end = if st.restart_at_end {
         AttemptEnd::Restart
     } else {
@@ -503,71 +510,6 @@ fn rebalance<S: Scalar>(
     }
 }
 
-/// Run one attempt of a *balanced* plan: in-order execution with the
-/// feedback controller ([`BalanceController`]) woken once per
-/// `update_interval`-th iteration boundary, possibly rewriting the
-/// not-yet-executed tail of `plan` in place. The cursor walks the issue
-/// order by position; rewrites only touch nodes of the current and later
-/// iterations, so executed positions never shift.
-pub(crate) fn run_attempt_balanced<S: Scalar>(
-    plan: &mut FactorPlan,
-    a: &mut AttemptCtx<'_, S>,
-    cfg: &ExecConfig,
-    ctrl: &mut BalanceController,
-) -> Result<(AttemptEnd, VerifyOutcome), MatrixError> {
-    assert_eq!(
-        cfg.policy,
-        IssuePolicy::InOrder,
-        "balanced runs execute in-order"
-    );
-    assert!(
-        plan.shard.is_none(),
-        "the balance controller does not compose with sharding"
-    );
-    let mut rt = None;
-    let mut st = ExecState::new();
-    let mut pos = 0usize;
-    let mut woken: Option<usize> = None;
-    {
-        let util = a.ctx.engine_utilization();
-        ctrl.prime(&util, a.inj.applied().len());
-    }
-    while pos < plan.len() {
-        if let Some(j) = plan.node(plan.order()[pos]).iter {
-            if ctrl.due(j) && woken != Some(j) {
-                woken = Some(j);
-                rebalance(plan, a, ctrl, j);
-            }
-        }
-        // Re-read the position: a rewrite may have inserted a check right
-        // here (in front of the old node), and that check runs first.
-        let id = plan.order()[pos];
-        match step(plan, a, cfg, &mut st, &mut rt, id) {
-            Ok(StepOut::Continue) => {}
-            Ok(StepOut::Restart) => return Ok((AttemptEnd::Restart, st.vo)),
-            Err(e) => return Err(e),
-        }
-        pos += 1;
-    }
-    if cfg.record_scopes {
-        if let Some(sp) = st.scope_span.take() {
-            close_span(a.ctx, sp);
-        }
-        if let Some(sp) = st.iter_span.take() {
-            close_span(a.ctx, sp);
-        }
-    }
-    if let Some(e) = st.pending_err.take() {
-        return Err(e);
-    }
-    let end = if st.restart_at_end {
-        AttemptEnd::Restart
-    } else {
-        AttemptEnd::Completed
-    };
-    Ok((end, st.vo))
-}
-
 /// One matrix in a batched run.
 pub struct BatchRequest {
     /// Scheme to run.
@@ -596,11 +538,26 @@ pub struct BatchOutcome {
 /// round-robin. Host-blocking stalls of one plan (POTF2, verification)
 /// overlap the other plans' enqueued device work, so the batch makespan
 /// beats running the same plans back to back.
+///
+/// An empty batch, a request [`validate_options`] refuses, and a sharded
+/// request are refused with [`MatrixError::UnsupportedConfig`].
 pub fn run_batch(
     profile: &SystemProfile,
     reqs: &[BatchRequest],
 ) -> Result<BatchOutcome, MatrixError> {
-    assert!(!reqs.is_empty(), "empty batch");
+    if reqs.is_empty() {
+        return Err(MatrixError::UnsupportedConfig(
+            "a batch needs at least one request",
+        ));
+    }
+    for r in reqs {
+        validate_options(&r.opts)?;
+        if r.opts.is_sharded() {
+            return Err(MatrixError::UnsupportedConfig(
+                "batched runs do not compose with sharding",
+            ));
+        }
+    }
     let mut ctx = SimContext::new(profile.clone(), ExecMode::TimingOnly);
     ctx.disable_timeline();
     if reqs.iter().any(|r| !r.opts.trace_schedule) {
@@ -617,16 +574,9 @@ pub fn run_batch(
 
     let mut plans = Vec::with_capacity(reqs.len());
     for r in reqs {
-        let placement =
-            decision::choose(r.opts.placement, profile, r.n, r.b, r.opts.verify_interval);
-        let mut resolved = r.opts.clone();
-        resolved.placement = placement;
-        let lay = ops::setup_batch(&mut ctx, r.n, r.b, true, placement, None)?;
+        let resolved = decision::resolve(&r.opts, profile, r.n, r.b);
+        let lay = ops::setup_batch(&mut ctx, r.n, r.b, true, resolved.placement, None)?;
         let plan = super::for_scheme(r.kind, lay.nt, &resolved, false);
-        assert!(
-            plan.shard.is_none(),
-            "batched runs do not compose with sharding"
-        );
         ctx.obs.metrics.add_count("plan.nodes", plan.len() as u64);
         ctx.obs
             .metrics
@@ -643,7 +593,7 @@ pub fn run_batch(
         sync_on_drain: false,
     };
     let mut injs: Vec<Injector> = (0..plans.len()).map(|_| Injector::inert()).collect();
-    let mut states: Vec<ExecState> = (0..plans.len()).map(|_| ExecState::new()).collect();
+    let mut states: Vec<ExecState> = (0..plans.len()).map(|_| ExecState::default()).collect();
     let mut halted = vec![false; plans.len()];
     let mut no_shard = None;
     for (p, pos) in hchol_gpusim::round_robin(&orders) {

@@ -255,8 +255,8 @@ fn insert_check_after(
 
 /// Insert the attempt tail of the Offline/Online protocols before the
 /// drain barrier: flush any pending panel mirror, then sweep the full
-/// lower triangle in one `"final verify"` scope (chunked like
-/// `ops::verify_all`).
+/// lower triangle in one `"final verify"` scope, in batches of at most
+/// 256 tiles.
 fn insert_final_sweep(plan: &mut FactorPlan) {
     let drain = find_kind(plan, |k| matches!(k, TaskKind::Drain)).expect("plan has drain");
     plan.insert_before(drain, TaskKind::FlushMirror, None, None);

@@ -179,8 +179,7 @@ impl<S: Scalar> FactorOutcome<S> {
 ///   in-order issue (`lookahead == 0`) and excludes `chk_fused` (both
 ///   rewrites would fight over the same verify batches).
 pub fn validate_options(opts: &AbftOptions) -> Result<(), MatrixError> {
-    let sharded = opts.shard.as_ref().is_some_and(|s| s.devices > 1);
-    if sharded {
+    if opts.is_sharded() {
         if opts.balance.is_some() {
             return Err(MatrixError::UnsupportedConfig(
                 "sharding does not compose with the runtime balance controller",
@@ -257,7 +256,6 @@ pub fn run_scheme_typed<S: Scalar>(
     input: Option<&Matrix<S>>,
 ) -> Result<FactorOutcome<S>, MatrixError> {
     validate_options(opts)?;
-    let sharded = opts.shard.as_ref().is_some_and(|s| s.devices > 1);
     let devices = opts.shard.as_ref().map_or(1, |s| s.devices);
     let provisioned;
     let profile = if devices > profile.devices {
@@ -280,18 +278,12 @@ pub fn run_scheme_typed<S: Scalar>(
         .obs
         .spans
         .open(format!("{} n={n} b={b}", kind.name()), Phase::Run, 0.0);
-    let placement = if sharded {
-        crate::options::ChecksumPlacement::Gpu
-    } else {
-        decision::choose(opts.placement, profile, n, b, opts.verify_interval)
-    };
-    let mut resolved = opts.clone();
-    resolved.placement = placement;
+    let resolved = decision::resolve(opts, profile, n, b);
     let mut lay = scope!(
         ctx,
         "setup",
         Phase::Setup,
-        ops::setup(&mut ctx, n, b, true, placement, input)
+        ops::setup(&mut ctx, n, b, true, resolved.placement, input)
     )?;
     let pristine = if mode.executes() {
         Some(ctx.dev_mem.buf(lay.mat).clone())
@@ -309,14 +301,19 @@ pub fn run_scheme_typed<S: Scalar>(
     // One plan serves every attempt of a static run: the task graph does
     // not depend on where (or whether) faults strike, only on n, b, and
     // the resolved options. Balanced runs rewrite it mid-attempt and
-    // rebuild it from the controller's current state on restart.
-    let mut fplan = {
+    // rebuild it from the controller's current split on restart, so the
+    // restarted attempt begins where the feedback converged, not where the
+    // static model started.
+    let nt = lay.nt;
+    let build = |ctrl: Option<&crate::plan::balance::BalanceController>| {
         let mut popts = resolved.clone();
-        if let Some(c) = &ctrl {
+        if let Some(c) = ctrl {
+            popts.placement = c.placement();
             popts.verify_interval = c.k();
         }
-        crate::plan::for_scheme(kind, lay.nt, &popts, faulty)
+        crate::plan::for_scheme(kind, nt, &popts, faulty)
     };
+    let mut fplan = build(ctrl.as_ref());
     let cfg = crate::plan::exec::ExecConfig::for_options(&resolved);
 
     let mut verify_total = VerifyOutcome::default();
@@ -342,14 +339,8 @@ pub fn run_scheme_typed<S: Scalar>(
                 ops::reload(&mut ctx, &lay, pristine.as_ref());
                 inj.reset_dirty();
             });
-            if let Some(c) = &ctrl {
-                // Restart from the controller's current split: the restarted
-                // attempt begins where the feedback converged, not where the
-                // static model started.
-                let mut popts = resolved.clone();
-                popts.placement = c.placement();
-                popts.verify_interval = c.k();
-                fplan = crate::plan::for_scheme(kind, lay.nt, &popts, faulty);
+            if ctrl.is_some() {
+                fplan = build(ctrl.as_ref());
             }
         }
         let mut a = AttemptCtx {
@@ -358,12 +349,7 @@ pub fn run_scheme_typed<S: Scalar>(
             inj: &mut inj,
             opts: &resolved,
         };
-        let result = if let Some(c) = ctrl.as_mut() {
-            crate::plan::exec::run_attempt_balanced(&mut fplan, &mut a, &cfg, c)
-        } else {
-            crate::plan::exec::run_attempt(&fplan, &mut a, &cfg)
-        };
-        let done = match result {
+        let done = match crate::plan::exec::run_attempt(&mut fplan, &mut a, &cfg, ctrl.as_mut()) {
             Ok((AttemptEnd::Completed, vo)) => {
                 verify_total.merge(vo);
                 failed = false;

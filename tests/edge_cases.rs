@@ -1,11 +1,14 @@
 //! Integration: degenerate and boundary configurations every driver must
 //! handle — single-tile matrices, two-tile grids, block = n, K larger than
-//! the iteration count, and zero-restart budgets.
+//! the iteration count, zero-restart budgets, and caller input the
+//! simulated drivers cannot take.
 
 use hchol::prelude::*;
 use hchol_blas::potrf::reconstruct_lower;
+use hchol_core::magma::factor_magma;
 use hchol_matrix::generate::spd_diag_dominant;
 use hchol_matrix::relative_residual;
+use hchol_matrix::MatrixError;
 
 fn check_correct(out: &FactorOutcome, a: &hchol_matrix::Matrix, label: &str) {
     let l = out.factor.as_ref().expect("factor");
@@ -208,4 +211,62 @@ fn cpu_and_inline_placements_produce_identical_factors() {
     }
     assert_eq!(factors[0], factors[1], "placement must not change numerics");
     assert_eq!(factors[1], factors[2]);
+}
+
+/// Input the simulated drivers cannot take is refused with a typed error
+/// at setup — never an assertion panic deep in the checksum code.
+#[test]
+fn bad_caller_input_is_a_typed_error_not_a_panic() {
+    let p = SystemProfile::test_profile();
+    let opts = AbftOptions::default();
+    let run = |n: usize, b: usize, input: Option<&Matrix>| {
+        run_clean(
+            SchemeKind::Enhanced,
+            &p,
+            ExecMode::Execute,
+            n,
+            b,
+            &opts,
+            input,
+        )
+    };
+    let a = spd_diag_dominant(64, 5);
+
+    // No input in Execute mode.
+    assert!(matches!(
+        run(64, 16, None),
+        Err(MatrixError::UnsupportedConfig(_))
+    ));
+    // An input that is not n × n.
+    assert!(matches!(
+        run(48, 16, Some(&a)),
+        Err(MatrixError::ShapeMismatch { .. })
+    ));
+    // A partial last tile (n % b != 0), in both modes and on the baseline.
+    let ragged = spd_diag_dominant(100, 6);
+    assert!(matches!(
+        run(100, 32, Some(&ragged)),
+        Err(MatrixError::UnsupportedConfig(_))
+    ));
+    assert!(matches!(
+        run_clean(
+            SchemeKind::Online,
+            &p,
+            ExecMode::TimingOnly,
+            100,
+            32,
+            &opts,
+            None
+        ),
+        Err(MatrixError::UnsupportedConfig(_))
+    ));
+    assert!(matches!(
+        factor_magma(&p, ExecMode::Execute, 100, 32, Some(&ragged), false),
+        Err(MatrixError::UnsupportedConfig(_))
+    ));
+    // A zero block size.
+    assert!(matches!(
+        run(64, 0, Some(&a)),
+        Err(MatrixError::ZeroBlockSize)
+    ));
 }

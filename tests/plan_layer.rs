@@ -11,6 +11,7 @@
 
 use hchol::prelude::*;
 use hchol_analyze::analyze_outcome;
+use hchol_core::options::ShardOptions;
 
 fn batch_request(kind: SchemeKind, n: usize, b: usize) -> BatchRequest {
     BatchRequest {
@@ -64,6 +65,32 @@ fn batch_of_four_beats_sequential() {
         sequential / 4.0
     );
     assert_eq!(batch.ctx.obs.metrics.count("plan.batch.plans"), 4);
+}
+
+/// A batch the executor cannot run is refused with a typed error, not a
+/// panic: an empty request list, a sharded request, and a request whose
+/// options `validate_options` refuses.
+#[test]
+fn bad_batches_are_refused_with_typed_errors() {
+    let p = SystemProfile::test_profile();
+    let refused = |reqs: &[BatchRequest]| {
+        matches!(
+            run_batch(&p, reqs),
+            Err(hchol_matrix::MatrixError::UnsupportedConfig(_))
+        )
+    };
+    assert!(refused(&[]));
+    let mut sharded = batch_request(SchemeKind::Enhanced, 256, 64);
+    sharded.opts = AbftOptions::default().with_shard(ShardOptions::new(2));
+    assert!(refused(&[
+        batch_request(SchemeKind::Online, 256, 64),
+        sharded
+    ]));
+    let mut invalid = batch_request(SchemeKind::Enhanced, 256, 64);
+    invalid.opts = AbftOptions::default()
+        .with_balance(BalanceOptions::default())
+        .with_lookahead(2);
+    assert!(refused(&[invalid]));
 }
 
 /// Mixed batches work: different schemes (different plan shapes and node
