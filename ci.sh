@@ -22,6 +22,17 @@ cargo build --release --workspace
 step "benchmark package builds against the public API (perfbench)"
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 
+# The static-proof workload proves every scheme x opt-in rewrite clean at
+# nt=20 (plan check, coverage, liveness, schedule); its last line is the
+# JSON result, which must report the run correct.
+step "static proof at benchmark scale (perfbench static-proof, nt=20)"
+proof=$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload static-proof --seed 1 --seconds 2 --trace 0 | tail -n 1)
+case "$proof" in
+    *'"correct": true'*) ;;
+    *) echo "static-proof run is not correct: $proof" >&2; exit 1 ;;
+esac
+
 step "tests: tier-1 (root package)"
 cargo test -q
 

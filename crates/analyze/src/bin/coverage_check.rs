@@ -76,7 +76,7 @@ fn main() -> ExitCode {
     let mut combos = Vec::new();
     let mut refused = 0u64;
     let mut bad = 0usize;
-    for &(n, b) in &[(96usize, 16usize), (128, 16)] {
+    for &(n, b) in &[(96usize, 16usize), (128, 16), (320, 16)] {
         for kind in SchemeKind::all() {
             for k in [1usize, 4] {
                 for fused in [false, true] {

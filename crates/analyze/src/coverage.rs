@@ -64,7 +64,7 @@ use hchol_faults::{FaultClass, FaultSite, InjectionPoint};
 use hchol_gpusim::BufferId;
 use hchol_obs::envelope;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// The rung of the coverage lattice proven for one site (strongest
@@ -108,7 +108,7 @@ impl fmt::Display for Coverage {
 }
 
 /// The proved verdict for one enumerated fault site.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteVerdict {
     /// The site (injection point × tile × species).
     pub site: FaultSite,
@@ -296,6 +296,154 @@ struct VerifyNode {
     fused: bool,
 }
 
+/// Everything the provers read from one walk of the authored order.
+struct PlanFacts {
+    anc: Ancestors,
+    verifies: Vec<VerifyNode>,
+    /// Corrections: position and the tiles each one repairs.
+    corrects: Vec<(usize, Vec<(usize, usize)>)>,
+    /// Fused-deposit positions per tile, ascending.
+    deposits: HashMap<(usize, usize), Vec<usize>>,
+    /// Tiles deposited by the fused producer at each position.
+    deposits_at: Vec<Vec<(usize, usize)>>,
+    /// Factorization matrix reads / writes at each position.
+    fact_reads: Vec<Vec<(usize, usize)>>,
+    fact_writes: Vec<Vec<(usize, usize)>>,
+    /// Factorization read positions per tile, ascending (the order the
+    /// tiles of one fault point are enumerated in).
+    reads_of_tile: BTreeMap<(usize, usize), Vec<usize>>,
+    /// Data-write positions per column (parity staleness gate).
+    col_writes: HashMap<usize, Vec<usize>>,
+    /// Parity-refresh positions per column.
+    parities: HashMap<usize, Vec<usize>>,
+    scratch_set: Vec<usize>,
+    mirror_set: Vec<usize>,
+    send_set: Vec<usize>,
+    mat_tiles: BTreeSet<(usize, usize)>,
+    chk_tiles: BTreeSet<(usize, usize)>,
+    dpt_tiles: BTreeSet<(usize, usize)>,
+}
+
+impl PlanFacts {
+    /// One walk: verify/correct placement, fused-deposit positions,
+    /// factorization read/write sets, per-column mat writes, parity
+    /// refreshes, resource sets, distinct-tile budgets.
+    fn collect(plan: &FactorPlan) -> Self {
+        let nt = plan.nt;
+        let order = plan.order();
+        let n = order.len();
+        let pos_of: HashMap<_, _> = order.iter().enumerate().map(|(p, &id)| (id, p)).collect();
+        let mut f = PlanFacts {
+            anc: Ancestors::compute(plan, &pos_of),
+            verifies: Vec::new(),
+            corrects: Vec::new(),
+            deposits: HashMap::new(),
+            deposits_at: vec![Vec::new(); n],
+            fact_reads: vec![Vec::new(); n],
+            fact_writes: vec![Vec::new(); n],
+            reads_of_tile: BTreeMap::new(),
+            col_writes: HashMap::new(),
+            parities: HashMap::new(),
+            scratch_set: Vec::new(),
+            mirror_set: Vec::new(),
+            send_set: Vec::new(),
+            mat_tiles: BTreeSet::new(),
+            chk_tiles: BTreeSet::new(),
+            dpt_tiles: BTreeSet::new(),
+        };
+
+        for (p, &id) in order.iter().enumerate() {
+            let node = plan.node(id);
+            let acc = plan.node_access(id);
+            for t in acc.tiles.reads.iter().chain(acc.tiles.writes.iter()) {
+                match classify(t.buf, nt) {
+                    0 => {
+                        f.mat_tiles.insert((t.bi, t.bj));
+                    }
+                    1 => {
+                        f.chk_tiles.insert((t.buf.0 - 1, t.bj));
+                    }
+                    _ => {
+                        f.dpt_tiles.insert((t.buf.0 - 1 - nt, t.bj));
+                    }
+                }
+            }
+            match &node.kind {
+                TaskKind::VerifyBatch { tiles, fused, .. } => {
+                    f.verifies.push(VerifyNode {
+                        pos: p,
+                        tiles: tiles.clone(),
+                        fused: *fused,
+                    });
+                    if !*fused {
+                        f.scratch_set.push(p);
+                    }
+                }
+                TaskKind::Correct { tiles, .. } => f.corrects.push((p, tiles.clone())),
+                TaskKind::MirrorPanel { .. } => f.mirror_set.push(p),
+                TaskKind::DeviceSend { .. } => f.send_set.push(p),
+                TaskKind::ShardParity { j } => f.parities.entry(*j).or_default().push(p),
+                _ => {}
+            }
+            if is_factorization(&node.kind) {
+                for t in &acc.tiles.reads {
+                    if t.buf == BufferId(0) {
+                        f.fact_reads[p].push((t.bi, t.bj));
+                        f.reads_of_tile.entry((t.bi, t.bj)).or_default().push(p);
+                    }
+                }
+                for t in &acc.tiles.writes {
+                    if t.buf == BufferId(0) {
+                        f.fact_writes[p].push((t.bi, t.bj));
+                    }
+                }
+            }
+            // Fused producers deposit fresh sums of everything they write.
+            if matches!(
+                node.kind,
+                TaskKind::Syrk { fused: true, .. } | TaskKind::GemmPanel { fused: true, .. }
+            ) {
+                for t in &acc.tiles.writes {
+                    if classify(t.buf, nt) == 2 {
+                        let tile = (t.buf.0 - 1 - nt, t.bj);
+                        f.deposits.entry(tile).or_default().push(p);
+                        f.deposits_at[p].push(tile);
+                    }
+                }
+            }
+            // Data writes (kernels and the POTF2 round trip) staleness-gate
+            // the column's parity refresh. Corrections also declare mat
+            // writes but restore the exact checksum-consistent values the
+            // parity encoded, so they do not invalidate it (soft fault +
+            // device loss in one run is out of scope — DESIGN.md §12).
+            if is_factorization(&node.kind) || matches!(node.kind, TaskKind::DiagToDevice { .. }) {
+                for t in &acc.tiles.writes {
+                    if t.buf == BufferId(0) {
+                        f.col_writes.entry(t.bj).or_default().push(p);
+                    }
+                }
+            }
+        }
+        f
+    }
+
+    /// A verify witnesses a corruption that entered tile `t` at position
+    /// `entry` iff it covers `t` after the entry and — when compare-only —
+    /// its deposit of `t` was computed from the corrupted data.
+    fn witnesses(&self, v: &VerifyNode, t: (usize, usize), entry: usize) -> bool {
+        if v.pos <= entry || !v.tiles.contains(&t) {
+            return false;
+        }
+        if !v.fused {
+            return true;
+        }
+        self.deposits
+            .get(&t)
+            .and_then(|ds| ds.iter().rev().find(|&&d| d < v.pos))
+            .is_some_and(|&d| d >= entry)
+    }
+}
+
 /// Classify a tile access into the mat / chk / dpt buffer families (the
 /// canonical ids [`hchol_core::plan::mat_tile`] et al. assign).
 fn classify(buf: BufferId, nt: usize) -> u8 {
@@ -351,161 +499,8 @@ fn max_antichain(set: &[usize], anc: &Ancestors) -> usize {
 /// `opts`): enumerate every injectable site and prove each a rung of the
 /// coverage lattice. See the module docs for the site and witness rules.
 pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -> CoverageReport {
-    let nt = plan.nt;
-    let order = plan.order();
-    let n = order.len();
-    let pos_of: HashMap<_, _> = order.iter().enumerate().map(|(p, &id)| (id, p)).collect();
-    let anc = Ancestors::compute(plan, &pos_of);
-
-    // One walk: verify/correct placement, fused-deposit positions,
-    // factorization read/write sets, per-column mat writes, parity
-    // refreshes, resource sets, distinct-tile budgets.
-    let mut verifies: Vec<VerifyNode> = Vec::new();
-    let mut corrects: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-    let mut deposits: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    let mut fact_reads: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    let mut fact_writes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    let mut reads_of_tile: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-    let mut col_writes: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut parities: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut scratch_set = Vec::new();
-    let mut mirror_set = Vec::new();
-    let mut send_set = Vec::new();
-    let mut mat_tiles = std::collections::BTreeSet::new();
-    let mut chk_tiles = std::collections::BTreeSet::new();
-    let mut dpt_tiles = std::collections::BTreeSet::new();
-
-    for (p, &id) in order.iter().enumerate() {
-        let node = plan.node(id);
-        let acc = plan.node_access(id);
-        for t in acc.tiles.reads.iter().chain(acc.tiles.writes.iter()) {
-            match classify(t.buf, nt) {
-                0 => {
-                    mat_tiles.insert((t.bi, t.bj));
-                }
-                1 => {
-                    chk_tiles.insert((t.buf.0 - 1, t.bj));
-                }
-                _ => {
-                    dpt_tiles.insert((t.buf.0 - 1 - nt, t.bj));
-                }
-            }
-        }
-        match &node.kind {
-            TaskKind::VerifyBatch { tiles, fused, .. } => {
-                verifies.push(VerifyNode {
-                    pos: p,
-                    tiles: tiles.clone(),
-                    fused: *fused,
-                });
-                if !*fused {
-                    scratch_set.push(p);
-                }
-            }
-            TaskKind::Correct { tiles, .. } => corrects.push((p, tiles.clone())),
-            TaskKind::MirrorPanel { .. } => mirror_set.push(p),
-            TaskKind::DeviceSend { .. } => send_set.push(p),
-            TaskKind::ShardParity { j } => parities.entry(*j).or_default().push(p),
-            _ => {}
-        }
-        if is_factorization(&node.kind) {
-            for t in &acc.tiles.reads {
-                if t.buf == BufferId(0) {
-                    fact_reads[p].push((t.bi, t.bj));
-                    reads_of_tile.entry((t.bi, t.bj)).or_default().push(p);
-                }
-            }
-            for t in &acc.tiles.writes {
-                if t.buf == BufferId(0) {
-                    fact_writes[p].push((t.bi, t.bj));
-                }
-            }
-        }
-        // Fused producers deposit fresh sums of everything they write.
-        if matches!(
-            node.kind,
-            TaskKind::Syrk { fused: true, .. } | TaskKind::GemmPanel { fused: true, .. }
-        ) {
-            for t in &acc.tiles.writes {
-                if classify(t.buf, nt) == 2 {
-                    deposits
-                        .entry((t.buf.0 - 1 - nt, t.bj))
-                        .or_default()
-                        .push(p);
-                }
-            }
-        }
-        // Data writes (kernels and the POTF2 round trip) staleness-gate
-        // the column's parity refresh. Corrections also declare mat
-        // writes but restore the exact checksum-consistent values the
-        // parity encoded, so they do not invalidate it (soft fault +
-        // device loss in one run is out of scope — DESIGN.md §12).
-        if is_factorization(&node.kind) || matches!(node.kind, TaskKind::DiagToDevice { .. }) {
-            for t in &acc.tiles.writes {
-                if t.buf == BufferId(0) {
-                    col_writes.entry(t.bj).or_default().push(p);
-                }
-            }
-        }
-    }
-
-    // A verify witnesses a corruption that entered tile `t` at position
-    // `entry` iff it covers `t` after the entry and — when compare-only —
-    // its deposit of `t` was computed from the corrupted data.
-    let witnesses = |v: &VerifyNode, t: (usize, usize), entry: usize| -> bool {
-        if v.pos <= entry || !v.tiles.contains(&t) {
-            return false;
-        }
-        if !v.fused {
-            return true;
-        }
-        deposits
-            .get(&t)
-            .and_then(|ds| ds.iter().rev().find(|&&d| d < v.pos))
-            .is_some_and(|&d| d >= entry)
-    };
-    // A verify corrects tile `t` iff a correction covering `t` is
-    // reachable from it on the plan's edges.
-    let corrects_tile = |v: &VerifyNode, t: (usize, usize)| -> bool {
-        corrects
-            .iter()
-            .any(|(cp, tiles)| tiles.contains(&t) && anc.reaches(v.pos, *cp))
-    };
-
-    // Enumerate fault sites and prove each one.
-    let mut sites = Vec::new();
-    for (a, point) in plan.fault_points() {
-        for (&tile, read_ps) in &reads_of_tile {
-            if !read_ps.iter().any(|&r| r > a) {
-                continue; // post-last-read window: not a live site
-            }
-            let proof = prove_site(
-                a,
-                tile,
-                read_ps,
-                &verifies,
-                &witnesses,
-                &corrects_tile,
-                &anc,
-                &fact_reads,
-                &fact_writes,
-                opts,
-            );
-            for class in FaultClass::all() {
-                sites.push(SiteVerdict {
-                    site: FaultSite {
-                        point,
-                        bi: tile.0,
-                        bj: tile.1,
-                        class,
-                    },
-                    pos: a,
-                    coverage: proof.0,
-                    witness: proof.1,
-                });
-            }
-        }
-    }
+    let f = PlanFacts::collect(plan);
+    let sites = prove_sites(plan, &f, opts);
 
     // Device-loss sites (sharded plans): a loss at the start of iteration
     // `j` is recoverable iff every finalized column `c < j` has a parity
@@ -524,7 +519,8 @@ pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -
             for &(a, at_iter) in &loss_points {
                 let mut missing = Vec::new();
                 for c in 0..at_iter {
-                    let lw = col_writes
+                    let lw = f
+                        .col_writes
                         .get(&c)
                         .into_iter()
                         .flatten()
@@ -532,7 +528,8 @@ pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -
                         .max()
                         .copied()
                         .unwrap_or(0);
-                    let fresh = parities
+                    let fresh = f
+                        .parities
                         .get(&c)
                         .into_iter()
                         .flatten()
@@ -557,85 +554,160 @@ pub fn check_coverage(kind: SchemeKind, plan: &FactorPlan, opts: &AbftOptions) -
 
     CoverageReport {
         scheme: kind,
-        nodes: n,
+        nodes: plan.order().len(),
         sites,
         losses,
         resources: ResourceBound {
-            mat_tiles: mat_tiles.len() as u64,
-            chk_tiles: chk_tiles.len() as u64,
-            dpt_tiles: dpt_tiles.len() as u64,
-            scratch_peak: max_antichain(&scratch_set, &anc) as u64,
-            mirror_peak: max_antichain(&mirror_set, &anc) as u64,
-            broadcast_peak: max_antichain(&send_set, &anc) as u64,
+            mat_tiles: f.mat_tiles.len() as u64,
+            chk_tiles: f.chk_tiles.len() as u64,
+            dpt_tiles: f.dpt_tiles.len() as u64,
+            scratch_peak: max_antichain(&f.scratch_set, &f.anc) as u64,
+            mirror_peak: max_antichain(&f.mirror_set, &f.anc) as u64,
+            broadcast_peak: max_antichain(&f.send_set, &f.anc) as u64,
         },
     }
 }
 
-/// Witness predicate: does this verify witness a corruption that
-/// entered the given tile at the given authored-order position?
-type WitnessFn<'a> = dyn Fn(&VerifyNode, (usize, usize), usize) -> bool + 'a;
+/// Prove every `(fault point, live tile)` pair its strongest rung, two
+/// species per pair. DetectCorrect is settled per pair against the tile's
+/// guard list; the pairs left over at one fault point share one footprint
+/// sweep per 64 of them for DetectRestart.
+fn prove_sites(plan: &FactorPlan, f: &PlanFacts, opts: &AbftOptions) -> Vec<SiteVerdict> {
+    let nt = plan.nt;
+    let ix = |t: (usize, usize)| t.0 * nt + t.1;
 
-/// Prove one `(strike position, tile)` pair the strongest lattice rung.
-#[allow(clippy::too_many_arguments)]
-fn prove_site(
+    // Guard index: per tile, in authored order, the verifies that cover
+    // it and reach a correction covering it.
+    let mut corrects_of = vec![Vec::new(); nt * nt];
+    for (cp, tiles) in &f.corrects {
+        for &t in tiles {
+            corrects_of[ix(t)].push(*cp);
+        }
+    }
+    let mut guards: Vec<Vec<&VerifyNode>> = vec![Vec::new(); nt * nt];
+    for v in &f.verifies {
+        for &t in &v.tiles {
+            if corrects_of[ix(t)]
+                .iter()
+                .any(|&cp| f.anc.reaches(v.pos, cp))
+            {
+                guards[ix(t)].push(v);
+            }
+        }
+    }
+
+    let mut sites = Vec::new();
+    let mut proofs: Vec<((usize, usize), Coverage, Option<usize>)> = Vec::new();
+    let mut sources: Vec<usize> = Vec::new();
+    let (mut foot, mut dep) = (vec![0u64; nt * nt], vec![0u64; nt * nt]);
+    for (a, point) in plan.fault_points() {
+        proofs.clear();
+        sources.clear();
+        for (&tile, read_ps) in &f.reads_of_tile {
+            let later = &read_ps[read_ps.partition_point(|&r| r <= a)..];
+            let Some((&first, rest)) = later.split_first() else {
+                continue; // post-last-read window: not a live site
+            };
+            // DetectCorrect: every read after the strike is behind a
+            // witnessing guard; the first read's guard is the witness.
+            let guard_of = |r: usize| {
+                guards[ix(tile)]
+                    .iter()
+                    .find(|v| f.witnesses(v, tile, a) && f.anc.reaches(v.pos, r))
+                    .map(|v| v.pos)
+            };
+            let witness = guard_of(first);
+            if witness.is_some() && rest.iter().all(|&r| guard_of(r).is_some()) {
+                proofs.push((tile, Coverage::DetectCorrect, witness));
+            } else {
+                sources.push(proofs.len());
+                proofs.push((tile, Coverage::Uncovered, None));
+            }
+        }
+        if opts.max_restarts >= 1 {
+            for chunk in sources.chunks(64) {
+                let tiles = chunk.iter().map(|&i| proofs[i].0);
+                let found = restart_sweep(a, tiles, f, nt, &mut foot, &mut dep);
+                for (&i, w) in chunk.iter().zip(found) {
+                    if w.is_some() {
+                        proofs[i] = (proofs[i].0, Coverage::DetectRestart, w);
+                    }
+                }
+            }
+        }
+        for &(tile, coverage, witness) in &proofs {
+            for class in FaultClass::all() {
+                sites.push(SiteVerdict {
+                    site: FaultSite {
+                        point,
+                        bi: tile.0,
+                        bj: tile.1,
+                        class,
+                    },
+                    pos: a,
+                    coverage,
+                    witness,
+                });
+            }
+        }
+    }
+    sites
+}
+
+/// DetectRestart for up to 64 source tiles struck at position `a`, in one
+/// forward sweep over the authored order. Each source is one bit of two
+/// per-tile words: `foot[t]`, the sources whose corruption footprint has
+/// reached `t` (a factorization node ORs the footprints of the tiles it
+/// reads into the tiles it writes), and `dep[t]`, `foot[t]` as it was
+/// right after the last fused deposit of `t`. A plain verify witnesses
+/// `foot` of its tiles; a fused compare witnesses only `dep`, since a
+/// source entered `t` at or before the deposit exactly when it was in
+/// `foot[t]` at that deposit. Returns each source's first witnessing
+/// verify position, `None` when no verify witnesses it; `foot` and `dep`
+/// are `nt × nt` scratch the caller reuses.
+fn restart_sweep(
     a: usize,
-    tile: (usize, usize),
-    read_ps: &[usize],
-    verifies: &[VerifyNode],
-    witnesses: &WitnessFn<'_>,
-    corrects_tile: &dyn Fn(&VerifyNode, (usize, usize)) -> bool,
-    anc: &Ancestors,
-    fact_reads: &[Vec<(usize, usize)>],
-    fact_writes: &[Vec<(usize, usize)>],
-    opts: &AbftOptions,
-) -> (Coverage, Option<usize>) {
-    // DetectCorrect: every consumer read after the strike is behind a
-    // witnessing verify with a reachable correction.
-    let mut first_witness = None;
-    let all_guarded = read_ps.iter().filter(|&&r| r > a).all(|&r| {
-        let guard = verifies
-            .iter()
-            .find(|v| witnesses(v, tile, a) && corrects_tile(v, tile) && anc.reaches(v.pos, r));
-        if let Some(v) = guard {
-            if first_witness.is_none() {
-                first_witness = Some(v.pos);
+    sources: impl Iterator<Item = (usize, usize)>,
+    f: &PlanFacts,
+    nt: usize,
+    foot: &mut [u64],
+    dep: &mut [u64],
+) -> [Option<usize>; 64] {
+    let ix = |t: (usize, usize)| t.0 * nt + t.1;
+    foot.fill(0);
+    dep.fill(0);
+    let mut open = 0u64;
+    for (s, t) in sources.enumerate() {
+        foot[ix(t)] |= 1 << s;
+        open |= 1 << s;
+    }
+    let mut witness = [None; 64];
+    let first = f.verifies.partition_point(|v| v.pos <= a);
+    let mut verifies = f.verifies[first..].iter().peekable();
+    for p in (a + 1)..f.fact_reads.len() {
+        if let Some(v) = verifies.next_if(|v| v.pos == p) {
+            let bits = if v.fused { &*dep } else { &*foot };
+            let mut fresh = v.tiles.iter().fold(0, |acc, &t| acc | bits[ix(t)]) & open;
+            open &= !fresh;
+            while fresh != 0 {
+                witness[fresh.trailing_zeros() as usize] = Some(p);
+                fresh &= fresh - 1;
+            }
+            if open == 0 {
+                break;
             }
         }
-        guard.is_some()
-    });
-    if all_guarded {
-        return (Coverage::DetectCorrect, first_witness);
-    }
-
-    // DetectRestart: walk the authored order propagating the corruption
-    // footprint through factorization read→write and look for a verify
-    // that witnesses any footprint tile.
-    if opts.max_restarts >= 1 {
-        let mut foot: HashMap<(usize, usize), usize> = HashMap::from([(tile, a)]);
-        let n = fact_reads.len();
-        let mut vi = verifies.iter().peekable();
-        for p in (a + 1)..n {
-            while vi.peek().is_some_and(|v| v.pos < p) {
-                vi.next();
-            }
-            if let Some(v) = vi.peek() {
-                if v.pos == p
-                    && v.tiles
-                        .iter()
-                        .any(|t| foot.get(t).is_some_and(|&e| witnesses(v, *t, e)))
-                {
-                    return (Coverage::DetectRestart, Some(p));
-                }
-            }
-            if fact_reads[p].iter().any(|t| foot.contains_key(t)) {
-                for &w in &fact_writes[p] {
-                    foot.entry(w).or_insert(p);
-                }
+        let hit = f.fact_reads[p].iter().fold(0, |acc, &t| acc | foot[ix(t)]);
+        if hit != 0 {
+            for &t in &f.fact_writes[p] {
+                foot[ix(t)] |= hit;
             }
         }
+        for &t in &f.deposits_at[p] {
+            dep[ix(t)] = foot[ix(t)];
+        }
     }
-
-    (Coverage::Uncovered, None)
+    witness
 }
 
 /// Build the plan for `(kind, n, b, opts)` and check its coverage — the
@@ -662,12 +734,182 @@ mod tests {
         AbftOptions::default().with_placement(hchol_core::options::ChecksumPlacement::Gpu)
     }
 
+    /// The per-site prover the guard index and footprint sweep replaced,
+    /// kept as the reference they must match verdict for verdict: each
+    /// `(fault point, tile)` pair scans every verify for a guard of each
+    /// later read, then walks the footprint from the strike on its own.
+    fn reference_sites(plan: &FactorPlan, opts: &AbftOptions) -> Vec<SiteVerdict> {
+        let f = PlanFacts::collect(plan);
+        let mut sites = Vec::new();
+        for (a, point) in plan.fault_points() {
+            for (&tile, read_ps) in &f.reads_of_tile {
+                if !read_ps.iter().any(|&r| r > a) {
+                    continue;
+                }
+                let (coverage, witness) = reference_site(a, tile, read_ps, &f, opts);
+                for class in FaultClass::all() {
+                    sites.push(SiteVerdict {
+                        site: FaultSite {
+                            point,
+                            bi: tile.0,
+                            bj: tile.1,
+                            class,
+                        },
+                        pos: a,
+                        coverage,
+                        witness,
+                    });
+                }
+            }
+        }
+        sites
+    }
+
+    fn reference_site(
+        a: usize,
+        tile: (usize, usize),
+        read_ps: &[usize],
+        f: &PlanFacts,
+        opts: &AbftOptions,
+    ) -> (Coverage, Option<usize>) {
+        let corrects_tile = |v: &VerifyNode, t: (usize, usize)| {
+            f.corrects
+                .iter()
+                .any(|(cp, tiles)| tiles.contains(&t) && f.anc.reaches(v.pos, *cp))
+        };
+        let mut first_witness = None;
+        let all_guarded = read_ps.iter().filter(|&&r| r > a).all(|&r| {
+            let guard = f.verifies.iter().find(|v| {
+                f.witnesses(v, tile, a) && corrects_tile(v, tile) && f.anc.reaches(v.pos, r)
+            });
+            if let Some(v) = guard {
+                if first_witness.is_none() {
+                    first_witness = Some(v.pos);
+                }
+            }
+            guard.is_some()
+        });
+        if all_guarded {
+            return (Coverage::DetectCorrect, first_witness);
+        }
+        if opts.max_restarts >= 1 {
+            let mut foot: HashMap<(usize, usize), usize> = HashMap::from([(tile, a)]);
+            let mut vi = f.verifies.iter().peekable();
+            for p in (a + 1)..f.fact_reads.len() {
+                while vi.peek().is_some_and(|v| v.pos < p) {
+                    vi.next();
+                }
+                if let Some(v) = vi.peek() {
+                    if v.pos == p
+                        && v.tiles
+                            .iter()
+                            .any(|t| foot.get(t).is_some_and(|&e| f.witnesses(v, *t, e)))
+                    {
+                        return (Coverage::DetectRestart, Some(p));
+                    }
+                }
+                if f.fact_reads[p].iter().any(|t| foot.contains_key(t)) {
+                    for &w in &f.fact_writes[p] {
+                        foot.entry(w).or_insert(p);
+                    }
+                }
+            }
+        }
+        (Coverage::Uncovered, None)
+    }
+
+    /// Assert the prover and the reference agree site for site on `plan`,
+    /// naming the first disagreement.
+    fn assert_matches_reference(
+        kind: SchemeKind,
+        plan: &FactorPlan,
+        opts: &AbftOptions,
+        what: &str,
+    ) {
+        let got = check_coverage(kind, plan, opts).sites;
+        let want = reference_sites(plan, opts);
+        if let Some(i) = (0..got.len().min(want.len())).find(|&i| got[i] != want[i]) {
+            panic!(
+                "{} {what}: site {i} differs\n  prover:    {:?}\n  reference: {:?}",
+                kind.name(),
+                got[i],
+                want[i]
+            );
+        }
+        assert_eq!(got.len(), want.len(), "{} {what}: site counts", kind.name());
+    }
+
+    /// The guard index and the per-fault-point footprint sweep prove the
+    /// same `(point, tile, class, pos, coverage, witness)` sequence as the
+    /// per-site reference, over every scheme × rewrite × placement × grid
+    /// size, with and without one verify stripped (which leaves sites the
+    /// lattice must demote) and with restarts forbidden.
+    #[test]
+    fn prover_matches_per_site_reference() {
+        use hchol_core::options::{ChecksumPlacement, ShardOptions};
+        let no_restarts = |mut o: AbftOptions| {
+            o.max_restarts = 0;
+            o
+        };
+        type Variant = (&'static str, fn(AbftOptions) -> AbftOptions);
+        let variants: [Variant; 8] = [
+            ("default", |o| o),
+            ("fused", |o| o.with_chk_fused(true)),
+            ("K=4", |o| o.with_interval(4)),
+            ("K=3 fused", |o| o.with_interval(3).with_chk_fused(true)),
+            ("lookahead=2", |o| o.with_lookahead(2)),
+            ("max_restarts=0", no_restarts),
+            ("D=2", |o| o.with_shard(ShardOptions::new(2))),
+            ("D=4", |o| o.with_shard(ShardOptions::new(4))),
+        ];
+        let grid = [2usize, 3, 4, 6, 8]
+            .into_iter()
+            .flat_map(|nt| [ChecksumPlacement::Gpu, ChecksumPlacement::Cpu].map(|p| (nt, p)))
+            .chain([(12, ChecksumPlacement::Gpu)]);
+        let mut checked = 0;
+        for (nt, placement) in grid {
+            for kind in SchemeKind::all() {
+                for (name, variant) in variants {
+                    // The per-site reference grows roughly as nt⁵, so the
+                    // one large grid runs only the default and the fused
+                    // deposit rule.
+                    if nt == 12 && !matches!(name, "default" | "K=3 fused") {
+                        continue;
+                    }
+                    let opts = variant(AbftOptions::default().with_placement(placement));
+                    if hchol_core::validate_options(&opts).is_err() {
+                        continue;
+                    }
+                    let what = format!("nt={nt} {placement:?} {name}");
+                    let plan = for_scheme(kind, nt, &opts, false);
+                    assert_matches_reference(kind, &plan, &opts, &what);
+                    let stripped = plan.find(|n| {
+                        matches!(n.kind, TaskKind::VerifyBatch { .. }) && n.iter >= Some(nt / 2)
+                    });
+                    if let Some(victim) = stripped {
+                        let mut mutated = plan.clone();
+                        mutated.remove(victim);
+                        mutated.derive_deps();
+                        assert_matches_reference(
+                            kind,
+                            &mutated,
+                            &opts,
+                            &format!("{what} stripped"),
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} plans checked");
+    }
+
     /// Every clean single-device configuration proves 100% site coverage,
     /// across schemes, grid sizes, and verify intervals.
     #[test]
     fn clean_plans_cover_every_site() {
         for kind in SchemeKind::all() {
-            for nt in [2usize, 4, 8] {
+            for nt in [2usize, 4, 8, 16] {
                 for k in [1usize, 4] {
                     let opts = resolved_opts().with_interval(k);
                     let plan = for_scheme(kind, nt, &opts, false);

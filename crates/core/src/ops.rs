@@ -94,8 +94,10 @@ impl CholLayout {
 ///
 /// Refused before anything is allocated: `b == 0`
 /// ([`MatrixError::ZeroBlockSize`]), `n` not a multiple of `b` and a
-/// missing Execute-mode input ([`MatrixError::UnsupportedConfig`]), and an
-/// Execute-mode input that is not `n × n` ([`MatrixError::ShapeMismatch`]).
+/// missing Execute-mode input ([`MatrixError::UnsupportedConfig`]), an
+/// Execute-mode input that is not `n × n` ([`MatrixError::ShapeMismatch`]),
+/// and one holding a NaN or an infinity ([`MatrixError::NonFiniteInput`]):
+/// no restart can factor it, so it is refused rather than retried.
 pub fn setup<S: Scalar>(
     ctx: &mut SimContext<S>,
     n: usize,
@@ -153,7 +155,12 @@ fn setup_impl<S: Scalar>(
                 rhs: (n, n),
             })
         }
-        (true, Some(dense)) => ctx.dev_mem.alloc(TileMatrix::from_dense(dense, b)?),
+        (true, Some(dense)) => {
+            if let Some(index) = dense.first_non_finite() {
+                return Err(MatrixError::NonFiniteInput { index });
+            }
+            ctx.dev_mem.alloc(TileMatrix::from_dense(dense, b)?)
+        }
         (true, None) => {
             return Err(MatrixError::UnsupportedConfig(
                 "Execute mode requires an input matrix",

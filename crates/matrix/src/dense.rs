@@ -313,7 +313,14 @@ impl<S: Scalar> Matrix<S> {
 
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
+        self.first_non_finite().is_some()
+    }
+
+    /// The (row, col) index of the first NaN or infinite element in
+    /// column-major order.
+    pub fn first_non_finite(&self) -> Option<(usize, usize)> {
+        let k = self.data.iter().position(|x| !x.is_finite())?;
+        Some((k % self.rows, k / self.rows))
     }
 
     /// Consume the matrix, returning its column-major data.
@@ -478,6 +485,8 @@ mod tests {
         assert!(m.has_non_finite());
         m.set(1, 0, f64::INFINITY);
         assert!(m.has_non_finite());
+        m.set(0, 1, f64::NEG_INFINITY);
+        assert_eq!(m.first_non_finite(), Some((1, 0)));
     }
 
     #[test]

@@ -48,6 +48,12 @@ pub enum MatrixError {
     /// The requested option combination is not supported (e.g. sharding
     /// composed with the runtime balance controller).
     UnsupportedConfig(&'static str),
+    /// An input matrix holds a NaN or an infinity.
+    NonFiniteInput {
+        /// The (row, col) index of the first non-finite element in
+        /// column-major order.
+        index: (usize, usize),
+    },
 }
 
 impl fmt::Display for MatrixError {
@@ -78,6 +84,9 @@ impl fmt::Display for MatrixError {
             MatrixError::ZeroBlockSize => write!(f, "block size must be nonzero"),
             MatrixError::UnsupportedConfig(why) => {
                 write!(f, "unsupported configuration: {why}")
+            }
+            MatrixError::NonFiniteInput { index } => {
+                write!(f, "input element ({}, {}) is not finite", index.0, index.1)
             }
         }
     }

@@ -6,6 +6,7 @@
 use hchol::prelude::*;
 use hchol_blas::potrf::reconstruct_lower;
 use hchol_core::magma::factor_magma;
+use hchol_core::schemes::run_clean_typed;
 use hchol_matrix::generate::spd_diag_dominant;
 use hchol_matrix::relative_residual;
 use hchol_matrix::MatrixError;
@@ -269,4 +270,27 @@ fn bad_caller_input_is_a_typed_error_not_a_panic() {
         run(64, 0, Some(&a)),
         Err(MatrixError::ZeroBlockSize)
     ));
+    // A NaN or an infinity in the input, at both precisions: refused up
+    // front instead of burning every restart.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut poisoned = a.clone();
+        poisoned.set(37, 21, bad);
+        assert!(matches!(
+            run(64, 16, Some(&poisoned)),
+            Err(MatrixError::NonFiniteInput { index: (37, 21) })
+        ));
+        let single = Matrix::<f32>::from_fn(64, 64, |i, j| poisoned.get(i, j) as f32);
+        assert!(matches!(
+            run_clean_typed(
+                SchemeKind::Online,
+                &p,
+                ExecMode::Execute,
+                64,
+                16,
+                &opts.clone().with_adaptive_tolerance(),
+                Some(&single),
+            ),
+            Err(MatrixError::NonFiniteInput { index: (37, 21) })
+        ));
+    }
 }
