@@ -1,6 +1,6 @@
 //! Token-level source lints for the workspace.
 //!
-//! Three rules, all comment- and string-aware (a hand-rolled scanner — no
+//! Five rules, all comment- and string-aware (a hand-rolled scanner — no
 //! `syn` in the offline build):
 //!
 //! * **`safety-comment`** — every `unsafe { … }` block and `unsafe impl`
@@ -23,6 +23,9 @@
 //!   `tolerance` module: every detection-threshold constant must be named
 //!   there so the fixed and adaptive models share one source of truth.
 //!   Deliberate uses are waived with `lint:allow(tolerance-literal)`.
+//! * **`env-knob`** — `env::var` / `env::var_os` reads are forbidden: a
+//!   run is configured through its options, never through a hidden
+//!   environment variable that reports and fixtures cannot see.
 //!
 //! Scanning stops at the first `#[cfg(test)]` line of a file: test modules
 //! may use free-form labels and scratch names by design. `shims/` (vendored
@@ -40,7 +43,8 @@ pub struct Lint {
     pub file: String,
     /// 1-indexed line.
     pub line: usize,
-    /// Rule tag: `safety-comment`, `obs-name`, or `wall-clock`.
+    /// Rule tag: `safety-comment`, `obs-name`, `wall-clock`,
+    /// `tolerance-literal`, or `env-knob`.
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -127,6 +131,7 @@ pub fn lint_file(file: &str, content: &str) -> Vec<Lint> {
     if file.contains("crates/core/src/") && !file.ends_with("tolerance.rs") {
         rule_tolerance_literal(file, &scan, &mut out);
     }
+    rule_env_knob(file, &scan, &mut out);
     out
 }
 
@@ -380,6 +385,28 @@ fn rule_wall_clock(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
     }
 }
 
+fn rule_env_knob(file: &str, scan: &Scan, out: &mut Vec<Lint>) {
+    for (i, t) in scan.tokens.iter().enumerate() {
+        if scan.word_at(i) != Some("env")
+            || !scan.punct_at(i + 1, ':')
+            || !scan.punct_at(i + 2, ':')
+        {
+            continue;
+        }
+        let Some(read @ ("var" | "var_os")) = scan.word_at(i + 3) else {
+            continue;
+        };
+        out.push(Lint {
+            file: file.to_string(),
+            line: t.line,
+            rule: "env-knob",
+            message: format!(
+                "`env::{read}` read: configure runs through options, not environment variables"
+            ),
+        });
+    }
+}
+
 /// Exponents whose negative powers of ten are epsilon-class detection
 /// thresholds. `1e-7` / `1e-9` / `1e-12` (and any mantissa, e.g. `2.5e-9`)
 /// must come from `hchol_core::tolerance` instead of being spelled inline.
@@ -596,6 +623,26 @@ mod tests {
         assert!(lint_file("crates/gpusim/src/a.rs", src).is_empty());
         let waived = "// lint:allow(wall-clock)\nuse std::time::Instant;\n";
         assert!(lint_file("crates/core/src/a.rs", waived).is_empty());
+    }
+
+    #[test]
+    fn env_reads_flagged_outside_test_modules() {
+        for src in [
+            "fn f() -> bool { std::env::var_os(\"X\").is_some() }\n",
+            "use std::env;\nfn f() -> bool { env::var(\"X\").is_ok() }\n",
+        ] {
+            let lints = lint_file("crates/bench/src/a.rs", src);
+            assert_eq!(lints.len(), 1, "{src}");
+            assert_eq!(lints[0].rule, "env-knob");
+        }
+        // Other `env` items and test modules are fine.
+        assert!(lint_file(
+            "crates/x/src/a.rs",
+            "fn f() { let _ = std::env::args(); }\n"
+        )
+        .is_empty());
+        let test_only = "#[cfg(test)]\nfn f() { std::env::var(\"X\").ok(); }\n";
+        assert!(lint_file("crates/x/src/a.rs", test_only).is_empty());
     }
 
     #[test]

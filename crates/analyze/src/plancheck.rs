@@ -27,11 +27,11 @@
 //! * **Offline** — no mid-run obligations; every written tile must be
 //!   covered by the final sweep after its last write.
 //! * **Sharded plans (all schemes)** — every consumer of remotely-owned
-//!   panel data (a `GemmShard`/`TrsmShard`/cross-row checksum update whose
-//!   access declares a [`VirtRes::ShardRecv`]) must have an ancestor
-//!   [`TaskKind::DeviceRecv`] for that `(iteration, payload, device)`, and
-//!   that receive must itself descend from the owner's matching
-//!   [`TaskKind::DeviceSend`]. A consumer ordered only by stream luck — a
+//!   panel data (a non-owner GEMM/TRSM slice or a cross-row checksum
+//!   update, whose access declares a [`VirtRes::ShardRecv`]) must have an
+//!   ancestor [`TaskKind::DeviceRecv`] for that `(iteration, payload,
+//!   device)`, and that receive must itself descend from the owner's
+//!   matching [`TaskKind::DeviceSend`]. A consumer ordered only by stream luck — a
 //!   send without a receive on its path — is a cross-device RAW race on
 //!   every schedule the executor is allowed to pick.
 
@@ -210,11 +210,7 @@ impl Ancestors {
 pub(crate) fn is_factorization(kind: &TaskKind) -> bool {
     matches!(
         kind,
-        TaskKind::Syrk { .. }
-            | TaskKind::GemmPanel { .. }
-            | TaskKind::TrsmPanel { .. }
-            | TaskKind::GemmShard { .. }
-            | TaskKind::TrsmShard { .. }
+        TaskKind::Syrk { .. } | TaskKind::GemmPanel { .. } | TaskKind::TrsmPanel { .. }
     )
 }
 
@@ -554,9 +550,10 @@ mod tests {
                         resolved_opts().with_shard(hchol_core::options::ShardOptions::new(d));
                     let plan = for_scheme(kind, nt, &opts, false);
                     assert!(
-                        plan.order()
-                            .iter()
-                            .any(|&id| matches!(plan.node(id).kind, TaskKind::GemmShard { .. })),
+                        plan.order().iter().any(|&id| matches!(
+                            plan.node(id).kind,
+                            TaskKind::GemmPanel { dev: 1.., .. }
+                        )),
                         "{} nt={nt} D={d}: plan was not sharded",
                         kind.name()
                     );

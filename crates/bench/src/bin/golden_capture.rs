@@ -12,7 +12,7 @@
 
 use hchol_core::cula::factor_cula;
 use hchol_core::magma::factor_magma;
-use hchol_core::options::{AbftOptions, ChecksumPlacement};
+use hchol_core::options::{AbftOptions, ChecksumPlacement, ShardOptions};
 use hchol_core::schemes::{run_scheme, SchemeKind};
 use hchol_faults::FaultPlan;
 use hchol_gpusim::profile::SystemProfile;
@@ -151,6 +151,24 @@ fn main() {
         &AbftOptions::default().with_interval(4),
         false,
         "k4",
+    ));
+    // The two opt-in rewrites under faults: the fused checksum epilogue
+    // and a two-device sharded run.
+    cases.push(scheme_case(
+        SchemeKind::Enhanced,
+        256,
+        b,
+        &AbftOptions::default().with_chk_fused(true),
+        true,
+        "fused_faulted",
+    ));
+    cases.push(scheme_case(
+        SchemeKind::Offline,
+        256,
+        b,
+        &AbftOptions::default().with_shard(ShardOptions::new(2)),
+        true,
+        "shard2_faulted",
     ));
     cases.push(baseline_case("magma", 192, b));
     cases.push(baseline_case("cula", 192, b));

@@ -18,7 +18,8 @@ use hchol_gpusim::counters::WorkCategory;
 #[cfg(test)]
 use hchol_gpusim::ExecMode;
 use hchol_gpusim::{
-    AccessSet, BufferId, EventId, HostBufferId, KernelClass, SimContext, StreamId, TileRef,
+    AccessSet, BufferId, DeviceMemory, EventId, HostBufferId, KernelClass, SimContext, StreamId,
+    TileRef,
 };
 use hchol_matrix::{
     triangular::force_lower, Diag, Matrix, MatrixError, Scalar, Side, TileMatrix, Trans, Uplo,
@@ -295,66 +296,82 @@ pub fn poll_faults<S: Scalar>(
 // The four MAGMA operations (Algorithm 1)
 // ---------------------------------------------------------------------------
 
+/// Trace label of a factorization launch: `GEMM j=3`, `GEMM+CHK j=3` with
+/// the fused checksum epilogue, `GEMM j=3 d=1` for device 1's slice of a
+/// sharded panel.
+fn kernel_label(op: &str, j: usize, dev: Option<usize>, fused: bool) -> String {
+    let chk = if fused { "+CHK" } else { "" };
+    match dev {
+        Some(d) => format!("{op}{chk} j={j} d={d}"),
+        None => format!("{op}{chk} j={j}"),
+    }
+}
+
+/// The matrix buffer plus, on a fused launch, the deposit buffer the
+/// epilogue writes.
+fn mat_and_deposit<S: Scalar>(
+    mem: &mut DeviceMemory<S>,
+    mat: BufferId,
+    dpt: Option<BufferId>,
+) -> (&mut TileMatrix<S>, Option<&mut TileMatrix<S>>) {
+    match dpt {
+        Some(d) => {
+            let (dep, m) = mem.buf_pair_mut(d, mat);
+            (m, Some(dep))
+        }
+        None => (mem.buf_mut(mat), None),
+    }
+}
+
+/// `c -= a · bᵀ`; given a `deposit` tile, the fused epilogue also writes
+/// the fresh column checksums of the finished `c` there.
+fn gemm_nt<S: Scalar>(
+    a: &Matrix<S>,
+    b: &Matrix<S>,
+    c: &mut Matrix<S>,
+    deposit: Option<&mut Matrix<S>>,
+) {
+    match deposit {
+        Some(d) => gemm_fused(Trans::No, Trans::Yes, -1.0, a, b, 1.0, c, d),
+        None => gemm(Trans::No, Trans::Yes, -1.0, a, b, 1.0, c),
+    }
+}
+
 /// SYRK: `A[j,j] -= A[j,0:j-1] · A[j,0:j-1]ᵀ` on the compute stream.
 ///
 /// The full symmetric tile is updated (not just a triangle) so that its
-/// column checksums remain exact.
-pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize) {
+/// column checksums remain exact. With the `fused` checksum epilogue the
+/// same launch also deposits fresh column checksums of the updated tile
+/// into `lay.dpt[j]`, charged as epilogue flops with no second kernel
+/// startup; a fused `VerifyBatch` then compares the deposit against the
+/// maintained checksums without any recalculation kernel.
+pub fn syrk_diag<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: usize, fused: bool) {
     if j == 0 {
         return;
     }
+    if fused {
+        ensure_dpt(ctx, lay);
+    }
     let f = lay.charge(flops::gemm(lay.b, lay.b, j * lay.b));
-    let mat = lay.mat;
+    let epi = if fused {
+        lay.charge(flops::fused_epilogue(lay.b, lay.b))
+    } else {
+        0
+    };
+    let (mat, dpt_j) = (lay.mat, fused.then(|| lay.dpt[j]));
+    let mut writes = vec![TileRef::new(mat, j, j)];
+    writes.extend(dpt_j.map(|d| TileRef::new(d, 0, j)));
     let access = AccessSet::new(
         (0..j)
             .map(|k| TileRef::new(mat, j, k))
             .chain([TileRef::new(mat, j, j)])
             .collect(),
-        vec![TileRef::new(mat, j, j)],
+        writes,
     );
     ctx.launch(
         lay.s_comp,
         KernelDesc::new(
-            format!("SYRK j={j}"),
-            KernelClass::Syrk,
-            f,
-            WorkCategory::Factorization,
-        )
-        .with_access(access),
-        move |mem| {
-            let m = mem.buf_mut(mat);
-            for k in 0..j {
-                let (diag, src) = m.tile_pair((j, j), (j, k));
-                gemm(Trans::No, Trans::Yes, -1.0, src, src, 1.0, diag);
-            }
-        },
-    );
-}
-
-/// [`syrk_diag`] with the fused checksum epilogue: the same kernel also
-/// deposits fresh column checksums of the updated diagonal tile into
-/// `lay.dpt[j]`, charged as extra epilogue flops on the *same* launch (no
-/// second kernel startup). A fused `VerifyBatch` then compares the deposit
-/// against the maintained checksums without any recalculation kernel.
-pub fn syrk_diag_fused<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: usize) {
-    if j == 0 {
-        return;
-    }
-    ensure_dpt(ctx, lay);
-    let f = lay.charge(flops::gemm(lay.b, lay.b, j * lay.b));
-    let epi = lay.charge(flops::fused_epilogue(lay.b, lay.b));
-    let (mat, dpt_j) = (lay.mat, lay.dpt[j]);
-    let access = AccessSet::new(
-        (0..j)
-            .map(|k| TileRef::new(mat, j, k))
-            .chain([TileRef::new(mat, j, j)])
-            .collect(),
-        vec![TileRef::new(mat, j, j), TileRef::new(dpt_j, 0, j)],
-    );
-    ctx.launch(
-        lay.s_comp,
-        KernelDesc::new(
-            format!("SYRK+CHK j={j}"),
+            kernel_label("SYRK", j, None, fused),
             KernelClass::Syrk,
             f,
             WorkCategory::Factorization,
@@ -362,102 +379,66 @@ pub fn syrk_diag_fused<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout,
         .with_access(access)
         .with_epilogue(epi),
         move |mem| {
-            let (dpt, m) = mem.buf_pair_mut(dpt_j, mat);
+            let (m, mut dpt) = mat_and_deposit(mem, mat, dpt_j);
             for k in 0..j {
                 let (diag, src) = m.tile_pair((j, j), (j, k));
-                if k + 1 == j {
-                    // Final slab: the epilogue checksums the finished tile.
-                    gemm_fused(
-                        Trans::No,
-                        Trans::Yes,
-                        -1.0,
-                        src,
-                        src,
-                        1.0,
-                        diag,
-                        dpt.tile_mut(0, j),
-                    );
-                } else {
-                    gemm(Trans::No, Trans::Yes, -1.0, src, src, 1.0, diag);
-                }
+                // The final slab's epilogue checksums the finished tile.
+                let deposit = dpt.as_mut().filter(|_| k + 1 == j);
+                gemm_nt(src, src, diag, deposit.map(|d| d.tile_mut(0, j)));
             }
         },
     );
 }
 
-/// GEMM: `A[j+1:N, j] -= A[j+1:N, 0:j-1] · A[j, 0:j-1]ᵀ` on the compute
-/// stream (one big kernel, as MAGMA issues it).
-pub fn gemm_panel<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize) {
-    let rows_below = lay.nt.saturating_sub(j + 1);
-    if j == 0 || rows_below == 0 {
+/// GEMM: `A[i, j] -= A[i, 0:j-1] · A[j, 0:j-1]ᵀ` for the panel rows
+/// `rows`, in one kernel on the compute stream — the whole panel
+/// `j+1..N`, as MAGMA issues it, or the rows one device owns in a sharded
+/// plan (`dev`). Per-tile numerics do not depend on the slicing, so the
+/// union of every device's slice reproduces the single-device panel
+/// bit-for-bit. With the `fused` epilogue the launch also deposits fresh
+/// column checksums of every updated tile `(i, j)` into `lay.dpt[i]`.
+///
+/// In a sharded run the plan executor steers `lay.s_comp` to the acting
+/// device's compute stream and orders a non-owner's slice behind its
+/// row-panel receive.
+pub fn gemm_panel<S: Scalar>(
+    ctx: &mut SimContext<S>,
+    lay: &mut CholLayout,
+    j: usize,
+    rows: &[usize],
+    dev: Option<usize>,
+    fused: bool,
+) {
+    if j == 0 || rows.is_empty() {
         return;
     }
-    let f = lay.charge(flops::gemm(rows_below * lay.b, lay.b, j * lay.b));
-    let (mat, nt) = (lay.mat, lay.nt);
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for i in (j + 1)..nt {
-        writes.push(TileRef::new(mat, i, j));
-        reads.push(TileRef::new(mat, i, j));
-        for k in 0..j {
-            reads.push(TileRef::new(mat, i, k));
-        }
+    if fused {
+        ensure_dpt(ctx, lay);
     }
-    for k in 0..j {
-        reads.push(TileRef::new(mat, j, k));
-    }
-    ctx.launch(
-        lay.s_comp,
-        KernelDesc::new(
-            format!("GEMM j={j}"),
-            KernelClass::Blas3,
-            f,
-            WorkCategory::Factorization,
-        )
-        .with_access(AccessSet::new(reads, writes)),
-        move |mem| {
-            let m = mem.buf_mut(mat);
-            for i in (j + 1)..nt {
-                for k in 0..j {
-                    let ljk = m.tile(j, k).clone();
-                    let (tij, lik) = m.tile_pair((i, j), (i, k));
-                    gemm(Trans::No, Trans::Yes, -1.0, lik, &ljk, 1.0, tij);
-                }
-            }
-        },
-    );
-}
-
-/// [`gemm_panel`] with the fused checksum epilogue: deposits fresh column
-/// checksums of every updated panel tile `(i, j)` into `lay.dpt[i]` from
-/// the same launch, charged as epilogue flops with no extra kernel startup.
-pub fn gemm_panel_fused<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout, j: usize) {
-    let rows_below = lay.nt.saturating_sub(j + 1);
-    if j == 0 || rows_below == 0 {
-        return;
-    }
-    ensure_dpt(ctx, lay);
-    let f = lay.charge(flops::gemm(rows_below * lay.b, lay.b, j * lay.b));
-    let epi = lay.charge(rows_below as u64 * flops::fused_epilogue(lay.b, lay.b));
+    let f = lay.charge(flops::gemm(rows.len() * lay.b, lay.b, j * lay.b));
+    let epi = if fused {
+        lay.charge(rows.len() as u64 * flops::fused_epilogue(lay.b, lay.b))
+    } else {
+        0
+    };
     let mat = lay.mat;
-    let dpt: Vec<BufferId> = lay.dpt.clone();
+    let targets: Vec<(usize, Option<BufferId>)> = rows
+        .iter()
+        .map(|&i| (i, fused.then(|| lay.dpt[i])))
+        .collect();
     let mut reads = Vec::new();
     let mut writes = Vec::new();
-    for (i, &di) in dpt.iter().enumerate().skip(j + 1) {
+    for &(i, dpt_i) in &targets {
         writes.push(TileRef::new(mat, i, j));
-        writes.push(TileRef::new(di, 0, j));
+        writes.extend(dpt_i.map(|d| TileRef::new(d, 0, j)));
         reads.push(TileRef::new(mat, i, j));
-        for k in 0..j {
-            reads.push(TileRef::new(mat, i, k));
-        }
+        reads.extend((0..j).map(|k| TileRef::new(mat, i, k)));
     }
-    for k in 0..j {
-        reads.push(TileRef::new(mat, j, k));
-    }
+    reads.extend((0..j).map(|k| TileRef::new(mat, j, k)));
     ctx.launch(
         lay.s_comp,
         KernelDesc::new(
-            format!("GEMM+CHK j={j}"),
+            kernel_label("GEMM", j, dev, fused),
             KernelClass::Blas3,
             f,
             WorkCategory::Factorization,
@@ -465,25 +446,13 @@ pub fn gemm_panel_fused<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout
         .with_access(AccessSet::new(reads, writes))
         .with_epilogue(epi),
         move |mem| {
-            for (i, &di) in dpt.iter().enumerate().skip(j + 1) {
-                let (d, m) = mem.buf_pair_mut(di, mat);
+            for (i, dpt_i) in targets {
+                let (m, mut dpt) = mat_and_deposit(mem, mat, dpt_i);
                 for k in 0..j {
                     let ljk = m.tile(j, k).clone();
                     let (tij, lik) = m.tile_pair((i, j), (i, k));
-                    if k + 1 == j {
-                        gemm_fused(
-                            Trans::No,
-                            Trans::Yes,
-                            -1.0,
-                            lik,
-                            &ljk,
-                            1.0,
-                            tij,
-                            d.tile_mut(0, j),
-                        );
-                    } else {
-                        gemm(Trans::No, Trans::Yes, -1.0, lik, &ljk, 1.0, tij);
-                    }
+                    let deposit = dpt.as_mut().filter(|_| k + 1 == j);
+                    gemm_nt(lik, &ljk, tij, deposit.map(|d| d.tile_mut(0, j)));
                 }
             }
         },
@@ -558,110 +527,15 @@ pub fn diag_to_device<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: u
     );
 }
 
-/// TRSM: `A[j+1:N, j] := A[j+1:N, j] · (L[j,j]ᵀ)⁻¹` on the compute stream.
-pub fn trsm_panel<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize) {
-    let rows_below = lay.nt.saturating_sub(j + 1);
-    if rows_below == 0 {
-        return;
-    }
-    let f = lay.charge(flops::trsm(lay.b, rows_below * lay.b));
-    let (mat, nt) = (lay.mat, lay.nt);
-    let mut reads = vec![TileRef::new(mat, j, j)];
-    let mut writes = Vec::new();
-    for i in (j + 1)..nt {
-        reads.push(TileRef::new(mat, i, j));
-        writes.push(TileRef::new(mat, i, j));
-    }
-    ctx.launch(
-        lay.s_comp,
-        KernelDesc::new(
-            format!("TRSM j={j}"),
-            KernelClass::Trsm,
-            f,
-            WorkCategory::Factorization,
-        )
-        .with_access(AccessSet::new(reads, writes)),
-        move |mem| {
-            let m = mem.buf_mut(mat);
-            for i in (j + 1)..nt {
-                let (tij, ljj) = m.tile_pair((i, j), (j, j));
-                trsm(
-                    Side::Right,
-                    Uplo::Lower,
-                    Trans::Yes,
-                    Diag::NonUnit,
-                    1.0,
-                    ljj,
-                    tij,
-                );
-            }
-        },
-    );
-}
-
-/// Device-local slice of the panel GEMM (sharded plans): update only the
-/// panel rows homed on the executing device. Per-tile numerics are
-/// identical to [`gemm_panel`]'s, so the union of every device's shard
-/// reproduces the single-device panel bit-for-bit.
-///
-/// The caller (the plan executor) steers `lay.s_comp` to the executing
-/// device's compute stream and orders the launch behind the row-panel
-/// broadcast receive when the device is not the panel owner.
-pub fn gemm_shard<S: Scalar>(
+/// TRSM: `A[i, j] := A[i, j] · (L[j,j]ᵀ)⁻¹` for the panel rows `rows` on
+/// the compute stream — the whole panel `j+1..N`, or device `dev`'s slice
+/// of it in a sharded plan (see [`gemm_panel`] for the steering contract).
+pub fn trsm_panel<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &CholLayout,
     j: usize,
-    dev: usize,
     rows: &[usize],
-) {
-    if j == 0 || rows.is_empty() {
-        return;
-    }
-    let f = lay.charge(flops::gemm(rows.len() * lay.b, lay.b, j * lay.b));
-    let mat = lay.mat;
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for &i in rows {
-        writes.push(TileRef::new(mat, i, j));
-        reads.push(TileRef::new(mat, i, j));
-        for k in 0..j {
-            reads.push(TileRef::new(mat, i, k));
-        }
-    }
-    for k in 0..j {
-        reads.push(TileRef::new(mat, j, k));
-    }
-    let rows = rows.to_vec();
-    ctx.launch(
-        lay.s_comp,
-        KernelDesc::new(
-            format!("GEMM j={j} d={dev}"),
-            KernelClass::Blas3,
-            f,
-            WorkCategory::Factorization,
-        )
-        .with_access(AccessSet::new(reads, writes)),
-        move |mem| {
-            let m = mem.buf_mut(mat);
-            for &i in &rows {
-                for k in 0..j {
-                    let ljk = m.tile(j, k).clone();
-                    let (tij, lik) = m.tile_pair((i, j), (i, k));
-                    gemm(Trans::No, Trans::Yes, -1.0, lik, &ljk, 1.0, tij);
-                }
-            }
-        },
-    );
-}
-
-/// Device-local slice of the panel TRSM (sharded plans); see
-/// [`gemm_shard`] for the steering contract.
-pub fn trsm_shard<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &CholLayout,
-    j: usize,
-    dev: usize,
-    rows: &[usize],
+    dev: Option<usize>,
 ) {
     if rows.is_empty() {
         return;
@@ -678,7 +552,7 @@ pub fn trsm_shard<S: Scalar>(
     ctx.launch(
         lay.s_comp,
         KernelDesc::new(
-            format!("TRSM j={j} d={dev}"),
+            kernel_label("TRSM", j, dev, false),
             KernelClass::Trsm,
             f,
             WorkCategory::Factorization,
@@ -981,7 +855,7 @@ fn dispatch_update<S: Scalar, F>(
     access: AccessSet,
     body: F,
 ) where
-    F: FnOnce(&mut hchol_gpusim::DeviceMemory<S>),
+    F: FnOnce(&mut DeviceMemory<S>),
 {
     let desc = KernelDesc::new(label, KernelClass::Blas2, f, WorkCategory::ChecksumUpdate);
     match lay.placement {
@@ -1003,32 +877,9 @@ pub fn mark_panel_ready<S: Scalar>(ctx: &mut SimContext<S>, lay: &mut CholLayout
     lay.panel_ready = Some(ctx.record_event(lay.s_comp));
 }
 
-/// Checksum update mirroring the SYRK:
-/// `chk(A[j,j]) -= Σ_k chk(L[j,k]) · L[j,k]ᵀ`.
-pub fn update_chk_syrk<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize) {
-    if j == 0 {
-        return;
-    }
-    let f = lay.charge(j as u64 * chkops::update_product_flops(lay.b));
-    let (mat, cks_j) = (lay.mat, lay.cks[j]);
-    let access = AccessSet::new(
-        (0..j)
-            .flat_map(|k| [TileRef::new(mat, j, k), TileRef::new(cks_j, 0, k)])
-            .chain([TileRef::new(cks_j, 0, j)])
-            .collect(),
-        vec![TileRef::new(cks_j, 0, j)],
-    );
-    dispatch_update(ctx, lay, format!("UPD-SYRK j={j}"), f, access, move |mem| {
-        let (cks, m) = mem.buf_pair_mut(cks_j, mat);
-        for k in 0..j {
-            let (cjj, cjk) = cks.tile_pair((0, j), (0, k));
-            chkops::update_product(cjj, cjk, m.tile(j, k));
-        }
-    });
-}
-
 /// Checksum update mirroring the GEMM for panel row `i`:
-/// `chk(A[i,j]) -= Σ_k chk(L[i,k]) · L[j,k]ᵀ`.
+/// `chk(A[i,j]) -= Σ_k chk(L[i,k]) · L[j,k]ᵀ`. Row `i == j` is the update
+/// mirroring the SYRK of the diagonal tile.
 pub fn update_chk_gemm<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: usize, i: usize) {
     if j == 0 {
         return;
@@ -1042,20 +893,18 @@ pub fn update_chk_gemm<S: Scalar>(ctx: &mut SimContext<S>, lay: &CholLayout, j: 
             .collect(),
         vec![TileRef::new(cks_i, 0, j)],
     );
-    dispatch_update(
-        ctx,
-        lay,
-        format!("UPD-GEMM ({i},{j})"),
-        f,
-        access,
-        move |mem| {
-            let (cks, m) = mem.buf_pair_mut(cks_i, mat);
-            for k in 0..j {
-                let (cij, cik) = cks.tile_pair((0, j), (0, k));
-                chkops::update_product(cij, cik, m.tile(j, k));
-            }
-        },
-    );
+    let label = if i == j {
+        format!("UPD-SYRK j={j}")
+    } else {
+        format!("UPD-GEMM ({i},{j})")
+    };
+    dispatch_update(ctx, lay, label, f, access, move |mem| {
+        let (cks, m) = mem.buf_pair_mut(cks_i, mat);
+        for k in 0..j {
+            let (cij, cik) = cks.tile_pair((0, j), (0, k));
+            chkops::update_product(cij, cik, m.tile(j, k));
+        }
+    });
 }
 
 /// Checksum update mirroring POTF2 (Algorithm 2 of the paper).
@@ -1276,17 +1125,35 @@ pub fn verify_recalc<S: Scalar>(
     }
 }
 
-/// Stage 2 of verification: compare recalculated checksums (left in scratch
-/// by [`verify_recalc`]) against the maintained ones.
+/// Stage 2 of verification: compare fresh checksums against the
+/// maintained ones. The fresh sums are the recalculations [`verify_recalc`]
+/// left in scratch or, for a `fused` compare-only batch, the deposits the
+/// producing SYRK/GEMM epilogue wrote ([`syrk_diag`] / [`gemm_panel`]) — no
+/// recalculation kernels, no scratch.
+///
+/// A fused compare deliberately declares **no matrix-tile reads**: for the
+/// conformance analysis it is the producer's `fused_verify` write that
+/// marks the tile verified, and the compare must not re-mark it.
 pub fn verify_compare<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
     tiles: &[(usize, usize)],
-    opts: &AbftOptions,
+    fused: bool,
 ) {
-    let _ = opts;
     if tiles.is_empty() {
         return;
+    }
+    if fused {
+        refresh_col_stats(ctx, lay, tiles);
+        ensure_dpt(ctx, lay);
+        // Updates to the maintained checksums must have landed before we
+        // compare against them ([`verify_recalc`] does this on the recalc
+        // path).
+        if lay.placement == ChecksumPlacement::Cpu {
+            ctx.sync_cpu_workers();
+        } else {
+            ctx.sync_stream(lay.s_chk);
+        }
     }
     // With CPU-resident checksums, comparing means moving checksums across
     // the bus (the paper's "verification related transfer"). The stored
@@ -1301,25 +1168,29 @@ pub fn verify_compare<S: Scalar>(
 
     // Comparison itself (a handful of flops per column — the overhead the
     // paper's Section VI deems ignorable, charged anyway). Reads only: data
-    // tiles, their stored checksums, and the recalculated sums. This is the
-    // op whose reads mark tiles *verified* for the conformance analysis, so
-    // it must not declare writes (a write would invalidate its own marks).
+    // tiles (recalc path), their stored checksums, and the fresh sums. This
+    // is the op whose reads mark tiles *verified* for the conformance
+    // analysis, so it must not declare writes (a write would invalidate its
+    // own marks).
     let f = lay.charge(flops::verify_compare(lay.b) * tiles.len() as u64);
-    let cmp_reads = tiles
-        .iter()
-        .enumerate()
-        .flat_map(|(idx, &(bi, bj))| {
-            [
+    let mut cmp_reads = Vec::new();
+    for (idx, &(bi, bj)) in tiles.iter().enumerate() {
+        let stored = TileRef::new(lay.cks[bi], 0, bj);
+        if fused {
+            cmp_reads.extend([stored, TileRef::new(lay.dpt[bi], 0, bj)]);
+        } else {
+            cmp_reads.extend([
                 TileRef::new(lay.mat, bi, bj),
-                TileRef::new(lay.cks[bi], 0, bj),
+                stored,
                 TileRef::new(lay.scratch[idx], 0, 0),
-            ]
-        })
-        .collect();
+            ]);
+        }
+    }
+    let label = if fused { "CMP-F" } else { "CMP" };
     ctx.launch(
         lay.s_comp,
         KernelDesc::new(
-            format!("CMP x{}", tiles.len()),
+            format!("{label} x{}", tiles.len()),
             KernelClass::Light,
             f,
             WorkCategory::Verify,
@@ -1328,101 +1199,6 @@ pub fn verify_compare<S: Scalar>(
         |_| {},
     );
     ctx.sync_stream(lay.s_comp);
-}
-
-/// Compare-only verification for tiles whose producing SYRK/GEMM kernel
-/// deposited fresh checksums in its fused epilogue ([`syrk_diag_fused`] /
-/// [`gemm_panel_fused`]): no recalculation kernels, no scratch — the CMP
-/// reads the maintained checksums and the deposits directly. Replaces
-/// [`verify_recalc`] + [`verify_compare`] for a fused `VerifyBatch`.
-///
-/// The compare deliberately declares **no matrix-tile reads**: for the
-/// conformance analysis it is the producer's `fused_verify` write that
-/// marks the tile verified, and the compare must not re-mark it.
-pub fn verify_compare_fused<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &mut CholLayout,
-    tiles: &[(usize, usize)],
-    opts: &AbftOptions,
-) {
-    let _ = opts;
-    if tiles.is_empty() {
-        return;
-    }
-    refresh_col_stats(ctx, lay, tiles);
-    ensure_dpt(ctx, lay);
-    // Updates to the maintained checksums must have landed before we
-    // compare against them (same rule as the recalc path).
-    if lay.placement == ChecksumPlacement::Cpu {
-        ctx.sync_cpu_workers();
-        // CPU-resident stored checksums ride host→device for the compare.
-        let bytes = S::BYTES * 2 * (lay.b as u64) * tiles.len() as u64;
-        ctx.bulk_transfer(bytes, lay.s_verif, true, |_, _| {});
-        ctx.sync_stream(lay.s_verif);
-    } else {
-        ctx.sync_stream(lay.s_chk);
-    }
-    let f = lay.charge(flops::verify_compare(lay.b) * tiles.len() as u64);
-    let cmp_reads = tiles
-        .iter()
-        .flat_map(|&(bi, bj)| {
-            [
-                TileRef::new(lay.cks[bi], 0, bj),
-                TileRef::new(lay.dpt[bi], 0, bj),
-            ]
-        })
-        .collect();
-    ctx.launch(
-        lay.s_comp,
-        KernelDesc::new(
-            format!("CMP-F x{}", tiles.len()),
-            KernelClass::Light,
-            f,
-            WorkCategory::Verify,
-        )
-        .with_access(AccessSet::new(cmp_reads, vec![])),
-        |_| {},
-    );
-    ctx.sync_stream(lay.s_comp);
-}
-
-/// Stages 3–4 of verification: locate and correct, per tile, from the
-/// comparison results. Maps onto a `Correct` plan node.
-///
-/// In Execute mode this operates on real data via [`verify_and_correct`]
-/// (which locates errors by the paper's `j = δ₂/δ₁` ratio — see
-/// [`crate::verify::locate_row`]); in TimingOnly mode the injector's ledger
-/// decides outcomes (a directly-hit tile is correctable, a propagated one
-/// is not). Records the `verify.*` metrics and `fault.*` events for the
-/// batch.
-///
-/// `depth` is the accumulation depth of the verified tiles — the iteration
-/// index the plan recorded on the `Correct` node (`nt` for a final sweep) —
-/// which the adaptive tolerance model turns into an accumulation-path
-/// length. Ignored under the fixed model.
-pub fn verify_correct<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &mut CholLayout,
-    inj: &mut Injector,
-    tiles: &[(usize, usize)],
-    depth: usize,
-    opts: &AbftOptions,
-) -> VerifyOutcome {
-    verify_correct_impl(ctx, lay, inj, tiles, depth, opts, false)
-}
-
-/// [`verify_correct`] for a fused batch: the freshly recalculated checksums
-/// live in the epilogue deposit tile `dpt[bi](0, bj)` rather than in the
-/// per-batch scratch tiles.
-pub fn verify_correct_fused<S: Scalar>(
-    ctx: &mut SimContext<S>,
-    lay: &mut CholLayout,
-    inj: &mut Injector,
-    tiles: &[(usize, usize)],
-    depth: usize,
-    opts: &AbftOptions,
-) -> VerifyOutcome {
-    verify_correct_impl(ctx, lay, inj, tiles, depth, opts, true)
 }
 
 /// Resolve the run's tolerance model into per-tile thresholds for grid
@@ -1449,7 +1225,22 @@ fn tile_tolerance<S: Scalar>(
     }
 }
 
-fn verify_correct_impl<S: Scalar>(
+/// Stages 3–4 of verification: locate and correct, per tile, from the
+/// comparison results. Maps onto a `Correct` plan node.
+///
+/// In Execute mode this operates on real data via [`verify_and_correct`]
+/// (which locates errors by the paper's `j = δ₂/δ₁` ratio — see
+/// [`crate::verify::locate_row`]); in TimingOnly mode the injector's ledger
+/// decides outcomes (a directly-hit tile is correctable, a propagated one
+/// is not). Records the `verify.*` metrics and `fault.*` events for the
+/// batch. A `fused` batch reads its fresh checksums from the epilogue
+/// deposit tile `dpt[bi](0, bj)` rather than the per-batch scratch tiles.
+///
+/// `depth` is the accumulation depth of the verified tiles — the iteration
+/// index the plan recorded on the `Correct` node (`nt` for a final sweep) —
+/// which the adaptive tolerance model turns into an accumulation-path
+/// length. Ignored under the fixed model.
+pub fn verify_correct<S: Scalar>(
     ctx: &mut SimContext<S>,
     lay: &mut CholLayout,
     inj: &mut Injector,
@@ -1484,9 +1275,6 @@ fn verify_correct_impl<S: Scalar>(
                 src.tile(src_tile.0, src_tile.1),
                 &tol,
             );
-            if std::env::var_os("HCHOL_VERIFY_TRACE").is_some() && !o.is_clean() {
-                eprintln!("verify ({bi},{bj}): {o:?}");
-            }
             if !o.is_clean() && o.fully_recovered() {
                 inj.mark_corrected(bi, bj);
             }
@@ -1576,8 +1364,8 @@ pub fn verify_batch<S: Scalar>(
         return VerifyOutcome::default();
     }
     verify_recalc(ctx, lay, tiles, opts);
-    verify_compare(ctx, lay, tiles, opts);
-    verify_correct(ctx, lay, inj, tiles, depth, opts)
+    verify_compare(ctx, lay, tiles, false);
+    verify_correct(ctx, lay, inj, tiles, depth, opts, false)
 }
 
 /// Every tile of the lower triangle (including the diagonal).
@@ -1694,14 +1482,15 @@ mod tests {
         let mut ctx = exec_ctx();
         let mut lay = setup(&mut ctx, n, b, false, ChecksumPlacement::Gpu, Some(&a)).unwrap();
         for j in 0..lay.nt {
-            syrk_diag(&mut ctx, &lay, j);
+            let rows: Vec<usize> = (j + 1..lay.nt).collect();
+            syrk_diag(&mut ctx, &mut lay, j, false);
             diag_to_host(&mut ctx, &mut lay, j);
-            gemm_panel(&mut ctx, &lay, j);
+            gemm_panel(&mut ctx, &mut lay, j, &rows, None, false);
             ctx.sync_stream(lay.s_tran);
             host_potf2(&mut ctx, &lay, j).unwrap();
             diag_to_device(&mut ctx, &lay, j);
             ctx.sync_stream(lay.s_tran);
-            trsm_panel(&mut ctx, &lay, j);
+            trsm_panel(&mut ctx, &lay, j, &rows, None);
         }
         ctx.sync_all();
         let l = extract_factor(&ctx, &lay).unwrap();
@@ -1759,14 +1548,15 @@ mod tests {
         let opts = AbftOptions::default();
         encode_all(&mut ctx, &mut lay, &opts);
         for j in 0..lay.nt {
-            syrk_diag(&mut ctx, &lay, j);
+            let rows: Vec<usize> = (j + 1..lay.nt).collect();
+            syrk_diag(&mut ctx, &mut lay, j, false);
             diag_to_host(&mut ctx, &mut lay, j);
-            gemm_panel(&mut ctx, &lay, j);
+            gemm_panel(&mut ctx, &mut lay, j, &rows, None, false);
             ctx.sync_stream(lay.s_tran);
             host_potf2(&mut ctx, &lay, j).unwrap();
             diag_to_device(&mut ctx, &lay, j);
             ctx.sync_stream(lay.s_tran);
-            trsm_panel(&mut ctx, &lay, j);
+            trsm_panel(&mut ctx, &lay, j, &rows, None);
         }
         ctx.sync_all();
         assert!(ctx.now().as_secs() > 0.0);

@@ -203,11 +203,7 @@ fn step<S: Scalar>(
             propagate,
             fused,
         } => {
-            if *fused {
-                ops::syrk_diag_fused(ctx, lay, *j);
-            } else {
-                ops::syrk_diag(ctx, lay, *j);
-            }
+            ops::syrk_diag(ctx, lay, *j, *fused);
             if sync_style {
                 ctx.sync_device();
             }
@@ -227,14 +223,12 @@ fn step<S: Scalar>(
         }
         TaskKind::GemmPanel {
             j,
+            dev,
             propagate,
             fused,
         } => {
-            if *fused {
-                ops::gemm_panel_fused(ctx, lay, *j);
-            } else {
-                ops::gemm_panel(ctx, lay, *j);
-            }
+            let slice = plan.shard.map(|_| *dev);
+            ops::gemm_panel(ctx, lay, *j, &plan.panel_rows(*j, *dev), slice, *fused);
             if sync_style {
                 ctx.sync_device();
             }
@@ -262,12 +256,16 @@ fn step<S: Scalar>(
                 ctx.sync_stream(lay.s_tran);
             }
         }
-        TaskKind::TrsmPanel { j, propagate } => {
-            if !sync_style {
+        TaskKind::TrsmPanel { j, dev, propagate } => {
+            // The compute stream must wait for the diagonal's return on the
+            // transfer stream; a remote slice was already ordered behind it
+            // by its DeviceRecv.
+            if !sync_style && !plan.is_remote(*j, *dev) {
                 let diag_back = ctx.record_event(lay.s_tran);
                 ctx.stream_wait_event(lay.s_comp, diag_back);
             }
-            ops::trsm_panel(ctx, lay, *j);
+            let slice = plan.shard.map(|_| *dev);
+            ops::trsm_panel(ctx, lay, *j, &plan.panel_rows(*j, *dev), slice);
             if sync_style {
                 ctx.sync_device();
             }
@@ -276,20 +274,18 @@ fn step<S: Scalar>(
             }
         }
         TaskKind::ChkUpdate { op, j, i } => match op {
-            UpdateOp::Syrk => ops::update_chk_syrk(ctx, lay, *j),
-            UpdateOp::Gemm => ops::update_chk_gemm(ctx, lay, *j, *i),
+            // A SYRK update is the diagonal row (`i == j`) of the GEMM rule.
+            UpdateOp::Syrk | UpdateOp::Gemm => ops::update_chk_gemm(ctx, lay, *j, *i),
             UpdateOp::Potf2 => ops::update_chk_potf2(ctx, lay, *j),
             UpdateOp::Trsm => ops::update_chk_trsm(ctx, lay, *j, *i),
         },
         TaskKind::VerifyBatch { tiles, fused, .. } => {
-            if *fused {
-                // Compare-only: the producing kernel already deposited
-                // fresh checksums in its epilogue.
-                ops::verify_compare_fused(ctx, lay, tiles, opts);
-            } else {
+            // Compare-only when fused: the producing kernel already
+            // deposited fresh checksums in its epilogue.
+            if !*fused {
                 ops::verify_recalc(ctx, lay, tiles, opts);
-                ops::verify_compare(ctx, lay, tiles, opts);
             }
+            ops::verify_compare(ctx, lay, tiles, *fused);
         }
         TaskKind::Correct {
             tiles,
@@ -297,11 +293,7 @@ fn step<S: Scalar>(
             fused,
             depth,
         } => {
-            let o = if *fused {
-                ops::verify_correct_fused(ctx, lay, inj, tiles, *depth, opts)
-            } else {
-                ops::verify_correct(ctx, lay, inj, tiles, *depth, opts)
-            };
+            let o = ops::verify_correct(ctx, lay, inj, tiles, *depth, opts, *fused);
             match sweep {
                 SweepKind::Inline => {
                     let ok = o.fully_recovered();
@@ -335,29 +327,6 @@ fn step<S: Scalar>(
         TaskKind::DeviceRecv { j, what, to } => {
             let r = rt.as_mut().expect("DeviceRecv in an unsharded run");
             r.recv(ctx, *j, *what, *to);
-        }
-        TaskKind::GemmShard { j, dev, propagate } => {
-            let spec = plan.shard.expect("GemmShard in an unsharded plan");
-            let rows = spec.panel_rows(plan.nt, *j, *dev);
-            ops::gemm_shard(ctx, lay, *j, *dev, &rows);
-            if *propagate {
-                ops::propagate_gemm(inj, lay.nt, *j);
-            }
-        }
-        TaskKind::TrsmShard { j, dev, propagate } => {
-            let spec = plan.shard.expect("TrsmShard in an unsharded plan");
-            if *dev == spec.owner(*j) {
-                // The owner's compute stream must wait for the diagonal's
-                // return on its own transfer stream; remote shards were
-                // already ordered by their DeviceRecv.
-                let diag_back = ctx.record_event(lay.s_tran);
-                ctx.stream_wait_event(lay.s_comp, diag_back);
-            }
-            let rows = spec.panel_rows(plan.nt, *j, *dev);
-            ops::trsm_shard(ctx, lay, *j, *dev, &rows);
-            if *propagate {
-                ops::propagate_trsm(inj, lay.nt, *j);
-            }
         }
         TaskKind::ShardParity { j } => {
             let r = rt.as_mut().expect("ShardParity in an unsharded run");

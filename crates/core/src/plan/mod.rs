@@ -86,6 +86,14 @@ pub enum ShardXfer {
 }
 
 /// One schedulable unit of a factorization attempt.
+///
+/// There is one kind per kernel. Plan rewrites that change how a kernel
+/// runs set a field on its node rather than swapping in a twin kind: the
+/// fused checksum epilogue ([`policy::apply_chk_fused`]) sets `fused` on
+/// [`TaskKind::Syrk`] / [`TaskKind::GemmPanel`] and on the verify pairs,
+/// and the multi-device split ([`shard::apply_shard`]) copies each
+/// [`TaskKind::GemmPanel`] / [`TaskKind::TrsmPanel`] once per device with
+/// `dev` set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskKind {
     /// Initial checksum encoding of the full lower triangle.
@@ -102,11 +110,17 @@ pub enum TaskKind {
         /// diagonal tile ([`dpt_tile`]) in the same kernel launch.
         fused: bool,
     },
-    /// Panel GEMM of iteration `j`.
+    /// Panel GEMM of iteration `j` over the rows
+    /// [`FactorPlan::panel_rows`]`(j, dev)`: the whole panel, or one
+    /// device's slice of it once [`shard::apply_shard`] has split the node.
     GemmPanel {
         /// Outer iteration.
         j: usize,
-        /// Mirror the operation in the injector's propagation ledger.
+        /// Executing device (0 on an unsharded plan).
+        dev: usize,
+        /// Mirror the whole panel's operation in the injector's propagation
+        /// ledger (on a sharded plan, set on the iteration's last slice
+        /// only).
         propagate: bool,
         /// Fused checksum epilogue: deposit fresh checksums of every
         /// written panel tile ([`dpt_tile`]) in the same kernel launch.
@@ -129,11 +143,17 @@ pub enum TaskKind {
         /// Outer iteration.
         j: usize,
     },
-    /// Panel TRSM of iteration `j`.
+    /// Panel TRSM of iteration `j` over the rows
+    /// [`FactorPlan::panel_rows`]`(j, dev)` (split per device like
+    /// [`TaskKind::GemmPanel`]).
     TrsmPanel {
         /// Outer iteration.
         j: usize,
-        /// Mirror the operation in the injector's propagation ledger.
+        /// Executing device (0 on an unsharded plan).
+        dev: usize,
+        /// Mirror the whole panel's operation in the injector's propagation
+        /// ledger (on a sharded plan, set on the iteration's last slice
+        /// only).
         propagate: bool,
     },
     /// One checksum-update task (dispatched per Optimization 2).
@@ -153,7 +173,8 @@ pub enum TaskKind {
         /// Inline check or final sweep.
         sweep: SweepKind,
         /// Compare-only batch: fresh checksums were already deposited by
-        /// the fused producer kernels ([`ops::verify_compare_fused`]), so
+        /// the fused producer kernels ([`ops::verify_compare`] with
+        /// `fused`), so
         /// no recalculation kernels are issued.
         fused: bool,
         /// Accumulation depth of the batch — the outer iteration at which
@@ -198,28 +219,6 @@ pub enum TaskKind {
         what: ShardXfer,
         /// Receiving device.
         to: usize,
-    },
-    /// Device `dev`'s slice of the panel GEMM of iteration `j`: the rows
-    /// `i ∈ (j, nt)` with `owner(i) = dev` (sharded plans only).
-    GemmShard {
-        /// Outer iteration.
-        j: usize,
-        /// Executing device.
-        dev: usize,
-        /// Mirror the whole panel's operation in the injector's ledger
-        /// (set on the last shard of the iteration only).
-        propagate: bool,
-    },
-    /// Device `dev`'s slice of the panel TRSM of iteration `j` (sharded
-    /// plans only).
-    TrsmShard {
-        /// Outer iteration.
-        j: usize,
-        /// Executing device.
-        dev: usize,
-        /// Mirror the whole panel's operation in the injector's ledger
-        /// (set on the last shard of the iteration only).
-        propagate: bool,
     },
     /// Refresh the XOR parity of column `j` (matrix and checksum tiles)
     /// after its finalizing iteration, so a later device loss can
@@ -477,6 +476,23 @@ impl FactorPlan {
             .find(|&id| pred(&self.nodes[id.0]))
     }
 
+    /// The panel rows a [`TaskKind::GemmPanel`] / [`TaskKind::TrsmPanel`]
+    /// of iteration `j` on device `dev` updates: every row below the
+    /// diagonal (`j+1..nt`), or on a sharded plan the ones `dev` owns.
+    pub fn panel_rows(&self, j: usize, dev: usize) -> Vec<usize> {
+        match self.shard {
+            Some(s) => s.panel_rows(self.nt, j, dev),
+            None => ((j + 1)..self.nt).collect(),
+        }
+    }
+
+    /// Does device `dev` read iteration `j`'s panel data from a broadcast
+    /// rather than its own copy (it is not the owner of row `j`)? Always
+    /// false on an unsharded plan.
+    pub fn is_remote(&self, j: usize, dev: usize) -> bool {
+        self.shard.is_some_and(|s| s.owner(j) != dev)
+    }
+
     /// The node behind an id.
     pub fn node(&self, id: NodeId) -> &PlanNode {
         &self.nodes[id.0]
@@ -570,27 +586,29 @@ impl FactorPlan {
             }
             TaskKind::GemmPanel {
                 j,
+                dev,
                 propagate,
                 fused,
             } => {
-                let j = *j;
-                if j > 0 && j + 1 < nt {
+                let (j, dev) = (*j, *dev);
+                let rows = self.panel_rows(j, dev);
+                if j > 0 && !rows.is_empty() {
                     let mut reads = Vec::new();
                     let mut writes = Vec::new();
-                    for i in (j + 1)..nt {
+                    for i in rows {
                         writes.push(mat_tile(i, j));
                         if *fused {
                             writes.push(dpt_tile(nt, i, j));
                         }
                         reads.push(mat_tile(i, j));
-                        for k in 0..j {
-                            reads.push(mat_tile(i, k));
-                        }
+                        reads.extend((0..j).map(|k| mat_tile(i, k)));
                     }
-                    for k in 0..j {
-                        reads.push(mat_tile(j, k));
-                    }
+                    reads.extend((0..j).map(|k| mat_tile(j, k)));
                     a.tiles = AccessSet::new(reads, writes);
+                    if self.is_remote(j, dev) {
+                        a.virt_reads
+                            .push(VirtRes::ShardRecv(j, ShardXfer::RowPanel, dev));
+                    }
                 }
                 ledger_if(*propagate, &mut a);
             }
@@ -616,16 +634,21 @@ impl FactorPlan {
                 a.tiles = AccessSet::new(vec![], vec![mat_tile(*j, *j)]);
                 a.virt_reads.push(VirtRes::HostDiag);
             }
-            TaskKind::TrsmPanel { j, propagate } => {
-                let j = *j;
-                if j + 1 < nt {
+            TaskKind::TrsmPanel { j, dev, propagate } => {
+                let (j, dev) = (*j, *dev);
+                let rows = self.panel_rows(j, dev);
+                if !rows.is_empty() {
                     let mut reads = vec![mat_tile(j, j)];
                     let mut writes = Vec::new();
-                    for i in (j + 1)..nt {
+                    for i in rows {
                         reads.push(mat_tile(i, j));
                         writes.push(mat_tile(i, j));
                     }
                     a.tiles = AccessSet::new(reads, writes);
+                    if self.is_remote(j, dev) {
+                        a.virt_reads
+                            .push(VirtRes::ShardRecv(j, ShardXfer::Diag, dev));
+                    }
                 }
                 ledger_if(*propagate, &mut a);
             }
@@ -633,16 +656,15 @@ impl FactorPlan {
                 let (j, i) = (*j, *i);
                 let (reads, writes): (Vec<TileRef>, Vec<TileRef>) = match op {
                     UpdateOp::Syrk | UpdateOp::Gemm => {
-                        let row = if *op == UpdateOp::Syrk { j } else { i };
                         if j == 0 {
                             (vec![], vec![])
                         } else {
                             (
                                 (0..j)
-                                    .flat_map(|k| [mat_tile(j, k), chk_tile(row, k)])
-                                    .chain([chk_tile(row, j)])
+                                    .flat_map(|k| [mat_tile(j, k), chk_tile(i, k)])
+                                    .chain([chk_tile(i, j)])
                                     .collect(),
-                                vec![chk_tile(row, j)],
+                                vec![chk_tile(i, j)],
                             )
                         }
                     }
@@ -710,50 +732,6 @@ impl FactorPlan {
             TaskKind::DeviceRecv { j, what, to } => {
                 a.virt_reads.push(VirtRes::ShardMsg(*j, *what));
                 a.virt_writes.push(VirtRes::ShardRecv(*j, *what, *to));
-            }
-            TaskKind::GemmShard { j, dev, propagate } => {
-                let j = *j;
-                let s = self.shard.expect("GemmShard only in sharded plans");
-                let rows = s.panel_rows(self.nt, j, *dev);
-                if j > 0 && !rows.is_empty() {
-                    let mut reads = Vec::new();
-                    let mut writes = Vec::new();
-                    for &i in &rows {
-                        writes.push(mat_tile(i, j));
-                        reads.push(mat_tile(i, j));
-                        for k in 0..j {
-                            reads.push(mat_tile(i, k));
-                        }
-                    }
-                    for k in 0..j {
-                        reads.push(mat_tile(j, k));
-                    }
-                    a.tiles = AccessSet::new(reads, writes);
-                    if *dev != s.owner(j) {
-                        a.virt_reads
-                            .push(VirtRes::ShardRecv(j, ShardXfer::RowPanel, *dev));
-                    }
-                }
-                ledger_if(*propagate, &mut a);
-            }
-            TaskKind::TrsmShard { j, dev, propagate } => {
-                let j = *j;
-                let s = self.shard.expect("TrsmShard only in sharded plans");
-                let rows = s.panel_rows(self.nt, j, *dev);
-                if !rows.is_empty() {
-                    let mut reads = vec![mat_tile(j, j)];
-                    let mut writes = Vec::new();
-                    for &i in &rows {
-                        reads.push(mat_tile(i, j));
-                        writes.push(mat_tile(i, j));
-                    }
-                    a.tiles = AccessSet::new(reads, writes);
-                    if *dev != s.owner(j) {
-                        a.virt_reads
-                            .push(VirtRes::ShardRecv(j, ShardXfer::Diag, *dev));
-                    }
-                }
-                ledger_if(*propagate, &mut a);
             }
             TaskKind::ShardParity { j } => {
                 let j = *j;

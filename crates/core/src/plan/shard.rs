@@ -20,14 +20,14 @@
 //! through recorded stream events on the modeled peer links.
 //!
 //! The panel-wide [`TaskKind::GemmPanel`] / [`TaskKind::TrsmPanel`] nodes
-//! are split into per-device [`TaskKind::GemmShard`] /
-//! [`TaskKind::TrsmShard`] slices (per-tile numerics are independent, so
-//! the factor stays bit-identical to the single-device run), verify
-//! batches are split per owner device, and each iteration ends with a
+//! are split into one copy per device holding panel rows, each with its
+//! `dev` field set (per-tile numerics are independent, so the factor stays
+//! bit-identical to the single-device run), verify batches are split per
+//! owner device, and each iteration ends with a
 //! [`TaskKind::ShardParity`] refresh of the column it finalized — the
 //! state device-loss recovery reconstructs from.
 
-use super::{FactorPlan, ShardSpec, ShardXfer, TaskKind};
+use super::{FactorPlan, NodeId, ShardSpec, ShardXfer, TaskKind};
 
 /// Rewrite `plan` for `devices` GPUs. Must run after the scheme policy
 /// and placement passes and before [`FactorPlan::derive_deps`]. Callers
@@ -83,46 +83,24 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
             }
         }
 
-        // Split the panel GEMM into per-device shards at its position.
+        // Split the panel GEMM into per-device slices at its position.
         if let Some(g) =
             plan.find(|n| matches!(n.kind, TaskKind::GemmPanel { j: jj, .. } if jj == j))
         {
-            let TaskKind::GemmPanel {
-                propagate, fused, ..
-            } = plan.node(g).kind
-            else {
-                unreachable!("matched GemmPanel above")
-            };
-            assert!(!fused, "sharding does not compose with chk_fused");
-            let (scope, iter) = (plan.node(g).scope, plan.node(g).iter);
+            assert!(
+                !matches!(plan.node(g).kind, TaskKind::GemmPanel { fused: true, .. }),
+                "sharding does not compose with chk_fused"
+            );
             let with_rows: Vec<usize> = (0..devices)
                 .filter(|&d| j > 0 && !spec.panel_rows(nt, j, d).is_empty())
                 .collect();
-            let mut anchor = g;
-            for (pos, &d) in with_rows.iter().enumerate() {
-                anchor = plan.insert_after(
-                    anchor,
-                    TaskKind::GemmShard {
-                        j,
-                        dev: d,
-                        // Whole-panel ledger propagation runs once, after
-                        // every shard's numerics have executed.
-                        propagate: propagate && pos + 1 == with_rows.len(),
-                    },
-                    scope,
-                    iter,
-                );
-            }
-            plan.remove(g);
+            split_panel(plan, g, &with_rows);
         }
 
-        // Diagonal broadcast + per-device TRSM shards.
+        // Diagonal broadcast + per-device TRSM slices.
         if let Some(t) =
             plan.find(|n| matches!(n.kind, TaskKind::TrsmPanel { j: jj, .. } if jj == j))
         {
-            let TaskKind::TrsmPanel { propagate, .. } = plan.node(t).kind else {
-                unreachable!("matched TrsmPanel above")
-            };
             let (scope, iter) = (plan.node(t).scope, plan.node(t).iter);
             let with_rows: Vec<usize> = (0..devices)
                 .filter(|&d| !spec.panel_rows(nt, j, d).is_empty())
@@ -152,20 +130,7 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
                     );
                 }
             }
-            let mut anchor = t;
-            for (pos, &d) in with_rows.iter().enumerate() {
-                anchor = plan.insert_after(
-                    anchor,
-                    TaskKind::TrsmShard {
-                        j,
-                        dev: d,
-                        propagate: propagate && pos + 1 == with_rows.len(),
-                    },
-                    scope,
-                    iter,
-                );
-            }
-            plan.remove(t);
+            split_panel(plan, t, &with_rows);
         }
     }
 
@@ -179,6 +144,28 @@ pub fn apply_shard(plan: &mut FactorPlan, devices: usize) {
             .expect("iteration has nodes");
         plan.insert_after(last, TaskKind::ShardParity { j }, None, Some(j));
     }
+}
+
+/// Replace the panel GEMM/TRSM node `id` by one copy per device in `devs`,
+/// in order, each with its `dev` set. Whole-panel ledger propagation runs
+/// once, after every slice's numerics, so only the last copy keeps
+/// `propagate`.
+fn split_panel(plan: &mut FactorPlan, id: NodeId, devs: &[usize]) {
+    let (scope, iter) = (plan.node(id).scope, plan.node(id).iter);
+    let mut anchor = id;
+    for (pos, &d) in devs.iter().enumerate() {
+        let mut kind = plan.node(id).kind.clone();
+        match &mut kind {
+            TaskKind::GemmPanel { dev, propagate, .. }
+            | TaskKind::TrsmPanel { dev, propagate, .. } => {
+                *dev = d;
+                *propagate &= pos + 1 == devs.len();
+            }
+            _ => unreachable!("only panel GEMM/TRSM nodes are split"),
+        }
+        anchor = plan.insert_after(anchor, kind, scope, iter);
+    }
+    plan.remove(id);
 }
 
 /// Split every verify/correct pair whose tiles span several owner devices
@@ -276,23 +263,24 @@ mod tests {
     }
 
     #[test]
-    fn panel_ops_become_per_device_shards() {
+    fn panel_ops_become_per_device_slices() {
         let plan = sharded(SchemeKind::Enhanced, 6, 2);
         assert_eq!(plan.shard, Some(ShardSpec { devices: 2 }));
-        assert!(plan.order().iter().all(|&id| !matches!(
-            plan.node(id).kind,
-            TaskKind::GemmPanel { .. } | TaskKind::TrsmPanel { .. }
-        )));
-        // Iteration 1 updates rows 2..6 = both devices.
-        let gemm_devs: Vec<usize> = plan
-            .order()
-            .iter()
-            .filter_map(|&id| match plan.node(id).kind {
-                TaskKind::GemmShard { j: 1, dev, .. } => Some(dev),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(gemm_devs, vec![0, 1]);
+        // Iteration 1 updates rows 2..6 = both devices, each its own rows.
+        let devs = |gemm: bool| -> Vec<usize> {
+            plan.order()
+                .iter()
+                .filter_map(|&id| match plan.node(id).kind {
+                    TaskKind::GemmPanel { j: 1, dev, .. } if gemm => Some(dev),
+                    TaskKind::TrsmPanel { j: 1, dev, .. } if !gemm => Some(dev),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(devs(true), vec![0, 1]);
+        assert_eq!(devs(false), vec![0, 1]);
+        assert_eq!(plan.panel_rows(1, 0), vec![2, 4]);
+        assert_eq!(plan.panel_rows(1, 1), vec![3, 5]);
     }
 
     #[test]
@@ -358,7 +346,7 @@ mod tests {
         let plan = sharded(SchemeKind::Enhanced, 6, 2);
         let spec = plan.shard.unwrap();
         for &id in plan.order() {
-            if let TaskKind::GemmShard { j, dev, .. } = plan.node(id).kind {
+            if let TaskKind::GemmPanel { j, dev, .. } = plan.node(id).kind {
                 if dev == spec.owner(j) {
                     continue;
                 }
@@ -371,7 +359,7 @@ mod tests {
                     .expect("remote gemm shard has a recv");
                 assert!(
                     plan.deps(id).contains(&recv),
-                    "GemmShard j={j} dev={dev} lacks a dependency on its DeviceRecv"
+                    "GEMM slice j={j} dev={dev} lacks a dependency on its DeviceRecv"
                 );
             }
         }

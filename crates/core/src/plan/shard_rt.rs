@@ -12,7 +12,7 @@
 //! untouched — which is what makes the recovered factor bit-identical to
 //! the fault-free run.
 
-use super::{FactorPlan, NodeId, ShardSpec, ShardXfer, TaskKind, UpdateOp};
+use super::{FactorPlan, NodeId, ShardSpec, ShardXfer, TaskKind};
 use crate::ops::{self, CholLayout};
 use crate::options::AbftOptions;
 use hchol_faults::{DeviceLoss, Injector};
@@ -151,11 +151,9 @@ impl ShardRuntime {
         match &node.kind {
             TaskKind::DeviceSend { from, .. } => *from,
             TaskKind::DeviceRecv { to, .. } => *to,
-            TaskKind::GemmShard { dev, .. } | TaskKind::TrsmShard { dev, .. } => *dev,
-            TaskKind::ChkUpdate { op, j, i } => match op {
-                UpdateOp::Syrk | UpdateOp::Potf2 => owner(*j),
-                UpdateOp::Gemm | UpdateOp::Trsm => owner(*i),
-            },
+            TaskKind::GemmPanel { dev, .. } | TaskKind::TrsmPanel { dev, .. } => *dev,
+            // Row `i` is the diagonal row `j` for SYRK/POTF2 updates.
+            TaskKind::ChkUpdate { i, .. } => owner(*i),
             TaskKind::VerifyBatch { tiles, .. } | TaskKind::Correct { tiles, .. } => {
                 tiles.first().map(|&(bi, _)| owner(bi)).unwrap_or(0)
             }

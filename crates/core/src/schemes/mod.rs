@@ -175,6 +175,9 @@ impl<S: Scalar> FactorOutcome<S> {
 ///   checksum epilogues (a fused kernel cannot deposit into another
 ///   device's checksum row), and pins checksum work to the GPUs (`Auto`
 ///   resolves to `Gpu`; an explicit host-side placement is refused).
+/// * The balance controller's adaptive-`K` bounds must be ordered:
+///   `k_max ≥ max(k_min, 1)` (the fields are public, so the builder's
+///   normalization can be bypassed).
 /// * The balance controller rewrites the plan mid-run, which requires
 ///   in-order issue (`lookahead == 0`) and excludes `chk_fused` (both
 ///   rewrites would fight over the same verify batches).
@@ -200,7 +203,12 @@ pub fn validate_options(opts: &AbftOptions) -> Result<(), MatrixError> {
             ));
         }
     }
-    if opts.balance.is_some() {
+    if let Some(b) = &opts.balance {
+        if b.k_max < b.k_min.max(1) {
+            return Err(MatrixError::UnsupportedConfig(
+                "balance K bounds need k_max >= max(k_min, 1)",
+            ));
+        }
         if opts.chk_fused {
             return Err(MatrixError::UnsupportedConfig(
                 "the runtime balance controller does not compose with fused checksum epilogues (chk_fused)",

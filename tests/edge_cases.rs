@@ -293,4 +293,25 @@ fn bad_caller_input_is_a_typed_error_not_a_panic() {
             Err(MatrixError::NonFiniteInput { index: (37, 21) })
         ));
     }
+    // Adaptive-K bounds that cannot be satisfied (the fields are public,
+    // so the normalizing builder can be bypassed).
+    for (k_min, k_max) in [(1, 0), (6, 2)] {
+        let bounds = BalanceOptions {
+            k_min,
+            k_max,
+            ..BalanceOptions::default()
+        };
+        assert!(matches!(
+            run_clean(
+                SchemeKind::Enhanced,
+                &p,
+                ExecMode::Execute,
+                64,
+                16,
+                &opts.clone().with_balance(bounds),
+                Some(&a),
+            ),
+            Err(MatrixError::UnsupportedConfig(_))
+        ));
+    }
 }

@@ -11,13 +11,18 @@
 //! * the factor must be **bit-identical** — checked via an FNV-1a hash of
 //!   the element bits recorded in `factors.json`.
 //!
+//! Two option corners postdate the imperative drivers and were captured
+//! from the plan executor instead: faulted Enhanced with the fused
+//! checksum epilogue, and faulted Offline sharded over two devices. They
+//! pin the fused and device-slice kernel paths the same way.
+//!
 //! If a schedule change is intentional, regenerate the fixtures with
 //! `cargo run --release -p hchol-bench --bin golden_capture` from the repo
 //! root and review the diff.
 
 use hchol_core::cula::factor_cula;
 use hchol_core::magma::factor_magma;
-use hchol_core::options::{AbftOptions, ChecksumPlacement};
+use hchol_core::options::{AbftOptions, ChecksumPlacement, ShardOptions};
 use hchol_core::schemes::{run_scheme, SchemeKind};
 use hchol_faults::FaultPlan;
 use hchol_gpusim::profile::SystemProfile;
@@ -138,6 +143,20 @@ fn option_corners_match_pre_plan_drivers() {
         &AbftOptions::default().with_interval(4),
         false,
         "k4",
+    );
+    check_scheme(
+        SchemeKind::Enhanced,
+        256,
+        &AbftOptions::default().with_chk_fused(true),
+        true,
+        "fused_faulted",
+    );
+    check_scheme(
+        SchemeKind::Offline,
+        256,
+        &AbftOptions::default().with_shard(ShardOptions::new(2)),
+        true,
+        "shard2_faulted",
     );
 }
 
