@@ -33,6 +33,17 @@ case "$proof" in
     *) echo "static-proof run is not correct: $proof" >&2; exit 1 ;;
 esac
 
+# The paper-sim workload replays the paper's Fig. 16/17 configurations in
+# TimingOnly mode (Tardis n=20480, Bulldozer64 n=30720); its last line must
+# report every pass exact and the committed figure anchors met.
+step "paper-scale simulation (perfbench paper-sim)"
+sim=$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload paper-sim --seed 1 --seconds 2 --trace 0 | tail -n 1)
+case "$sim" in
+    *'"correct": true'*) ;;
+    *) echo "paper-sim run is not correct: $sim" >&2; exit 1 ;;
+esac
+
 step "tests: tier-1 (root package)"
 cargo test -q
 

@@ -34,7 +34,7 @@ use crate::ops;
 use hchol_faults::InjectionPoint;
 use hchol_gpusim::{AccessSet, BufferId, DagSchedule, NodeMeta, TileRef};
 use hchol_obs::Phase;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Which checksum update a [`TaskKind::ChkUpdate`] node performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -763,14 +763,36 @@ impl FactorPlan {
     /// authored order: RAW (read after the last writer), WAR (write after
     /// readers since that writer), WAW (write after the last writer).
     /// [`TaskKind::Drain`] is a barrier depending on every prior node.
+    ///
+    /// Each canonical tile owns a dense slot and each virtual resource one
+    /// more, so the cost is linear in the declared accesses plus the edges.
+    /// Plan tiles are lower-triangular (`bj ≤ bi`, with `bi` the block row
+    /// a `cks`/`dpt` buffer belongs to), so the `mat`, `cks` and `dpt`
+    /// triangles take `3·nt(nt+1)/2 ≤ 3·nt²` slots. A per-node stamp
+    /// deduplicates each dependency list, which is then sorted by node id.
     pub fn derive_deps(&mut self) {
-        #[derive(PartialEq, Eq, Hash, Clone, Copy)]
-        enum Key {
-            Tile(TileRef),
-            Virt(VirtRes),
-        }
-        let mut last_writer: HashMap<Key, NodeId> = HashMap::new();
-        let mut readers: HashMap<Key, Vec<NodeId>> = HashMap::new();
+        let nt = self.nt;
+        let tri = nt * (nt + 1) / 2;
+        let tile_slots = 3 * tri;
+        // `mat`, then the `cks[bi]` triangle (buffers 1..=nt), then the
+        // `dpt[bi]` triangle (buffers nt+1..=2nt).
+        let tile_slot = |t: TileRef| {
+            let (base, bi) = match t.buf.0 {
+                0 => (0, t.bi),
+                b if b <= nt => (tri, b - 1),
+                b => (2 * tri, b - 1 - nt),
+            };
+            assert!(
+                t.bj <= bi && bi < nt && (t.buf.0 == 0 || t.bi == 0),
+                "non-canonical plan tile {t}"
+            );
+            base + bi * (bi + 1) / 2 + t.bj
+        };
+        let mut virt_slot: HashMap<VirtRes, usize> = HashMap::new();
+        let mut last_writer: Vec<Option<NodeId>> = vec![None; tile_slots];
+        let mut readers: Vec<Vec<NodeId>> = vec![Vec::new(); tile_slots];
+        let mut stamp = vec![usize::MAX; self.nodes.len()];
+        let (mut reads, mut writes, mut deps) = (Vec::new(), Vec::new(), Vec::new());
         self.deps = vec![Vec::new(); self.nodes.len()];
         let order = self.order.clone();
         for (pos, &id) in order.iter().enumerate() {
@@ -779,42 +801,46 @@ impl FactorPlan {
                 continue;
             }
             let acc = self.node_access(id);
-            let reads: Vec<Key> = acc
-                .tiles
-                .reads
-                .iter()
-                .map(|&t| Key::Tile(t))
-                .chain(acc.virt_reads.iter().map(|&v| Key::Virt(v)))
-                .collect();
-            let writes: Vec<Key> = acc
-                .tiles
-                .writes
-                .iter()
-                .map(|&t| Key::Tile(t))
-                .chain(acc.virt_writes.iter().map(|&v| Key::Virt(v)))
-                .collect();
-            let mut set: BTreeSet<NodeId> = BTreeSet::new();
-            for k in &reads {
-                if let Some(&w) = last_writer.get(k) {
-                    set.insert(w);
+            let mut slot_of = |v: VirtRes| {
+                let next = tile_slots + virt_slot.len();
+                *virt_slot.entry(v).or_insert(next)
+            };
+            reads.clear();
+            reads.extend(acc.tiles.reads.iter().map(|&t| tile_slot(t)));
+            reads.extend(acc.virt_reads.iter().map(|&v| slot_of(v)));
+            writes.clear();
+            writes.extend(acc.tiles.writes.iter().map(|&t| tile_slot(t)));
+            writes.extend(acc.virt_writes.iter().map(|&v| slot_of(v)));
+            let slots = tile_slots + virt_slot.len();
+            last_writer.resize(slots, None);
+            readers.resize_with(slots, Vec::new);
+
+            deps.clear();
+            stamp[id.0] = pos;
+            let mut add = |n: NodeId| {
+                if stamp[n.0] != pos {
+                    stamp[n.0] = pos;
+                    deps.push(n);
+                }
+            };
+            for &s in reads.iter().chain(&writes) {
+                if let Some(w) = last_writer[s] {
+                    add(w);
                 }
             }
-            for k in &writes {
-                if let Some(&w) = last_writer.get(k) {
-                    set.insert(w);
-                }
-                if let Some(rs) = readers.get(k) {
-                    set.extend(rs.iter().copied());
+            for &s in &writes {
+                readers[s].iter().copied().for_each(&mut add);
+            }
+            deps.sort_unstable();
+            self.deps[id.0] = deps.to_vec();
+            for &s in &reads {
+                if readers[s].last() != Some(&id) {
+                    readers[s].push(id);
                 }
             }
-            set.remove(&id);
-            self.deps[id.0] = set.into_iter().collect();
-            for k in &reads {
-                readers.entry(*k).or_default().push(id);
-            }
-            for k in &writes {
-                last_writer.insert(*k, id);
-                readers.insert(*k, Vec::new());
+            for &s in &writes {
+                last_writer[s] = Some(id);
+                readers[s].clear();
             }
         }
     }
@@ -920,4 +946,172 @@ pub fn for_cula(nt: usize) -> FactorPlan {
     let mut plan = skeleton::algorithm1(nt, DriveStyle::Synchronous, true, false);
     plan.derive_deps();
     plan
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::decision;
+    use crate::options::{AbftOptions, BalanceOptions, ChecksumPlacement, ShardOptions};
+    use crate::schemes::SchemeKind;
+    use hchol_gpusim::context::EngineWindow;
+    use hchol_gpusim::profile::SystemProfile;
+    use std::collections::BTreeSet;
+
+    /// The derivation [`FactorPlan::derive_deps`] replaced: hashed last
+    /// writers and reader lists per access key, a `BTreeSet` per node.
+    fn reference_deps(plan: &FactorPlan) -> Vec<Vec<NodeId>> {
+        #[derive(PartialEq, Eq, Hash, Clone, Copy)]
+        enum Key {
+            Tile(TileRef),
+            Virt(VirtRes),
+        }
+        let mut last_writer: HashMap<Key, NodeId> = HashMap::new();
+        let mut readers: HashMap<Key, Vec<NodeId>> = HashMap::new();
+        let mut deps = vec![Vec::new(); plan.nodes.len()];
+        for (pos, &id) in plan.order.iter().enumerate() {
+            if matches!(plan.nodes[id.0].kind, TaskKind::Drain) {
+                deps[id.0] = plan.order[..pos].to_vec();
+                continue;
+            }
+            let acc = plan.node_access(id);
+            let reads: Vec<Key> = acc
+                .tiles
+                .reads
+                .iter()
+                .map(|&t| Key::Tile(t))
+                .chain(acc.virt_reads.iter().map(|&v| Key::Virt(v)))
+                .collect();
+            let writes: Vec<Key> = acc
+                .tiles
+                .writes
+                .iter()
+                .map(|&t| Key::Tile(t))
+                .chain(acc.virt_writes.iter().map(|&v| Key::Virt(v)))
+                .collect();
+            let mut set: BTreeSet<NodeId> = BTreeSet::new();
+            for k in &reads {
+                if let Some(&w) = last_writer.get(k) {
+                    set.insert(w);
+                }
+            }
+            for k in &writes {
+                if let Some(&w) = last_writer.get(k) {
+                    set.insert(w);
+                }
+                if let Some(rs) = readers.get(k) {
+                    set.extend(rs.iter().copied());
+                }
+            }
+            set.remove(&id);
+            deps[id.0] = set.into_iter().collect();
+            for k in &reads {
+                readers.entry(*k).or_default().push(id);
+            }
+            for k in &writes {
+                last_writer.insert(*k, id);
+                readers.insert(*k, Vec::new());
+            }
+        }
+        deps
+    }
+
+    const SCHEMES: [SchemeKind; 3] = [
+        SchemeKind::Offline,
+        SchemeKind::Online,
+        SchemeKind::Enhanced,
+    ];
+
+    /// A balanced plan after one controller rewrite: a fault-free window
+    /// with GPU queue pressure moves the second half to CPU updating and
+    /// relaxes `K`.
+    fn rebalanced(kind: SchemeKind, nt: usize, faulty: bool) -> FactorPlan {
+        let opts = AbftOptions::default()
+            .with_placement(ChecksumPlacement::Gpu)
+            .with_balance(BalanceOptions::default());
+        let mut plan = for_scheme(kind, nt, &opts, faulty);
+        let mut ctrl = balance::BalanceController::new(kind, &opts);
+        let window = EngineWindow {
+            wall_secs: 1.0,
+            gpu_util: 0.9,
+            cpu_util: 0.1,
+            dma_util: 0.0,
+            queue_frac: 0.6,
+        };
+        ctrl.step_window(nt / 2, Some(window), 0);
+        assert_eq!(ctrl.placement(), ChecksumPlacement::Cpu);
+        ctrl.rewrite(&mut plan, nt / 2);
+        plan
+    }
+
+    /// The dense-slot derivation yields the reference's edges, list by list
+    /// and in the same order, for every scheme × rewrite × fault setting.
+    #[test]
+    fn derive_deps_matches_hashed_reference() {
+        let tardis = SystemProfile::tardis();
+        let b = 256;
+        let configs = [
+            AbftOptions::default(),
+            AbftOptions::default().with_chk_fused(true),
+            AbftOptions::default().with_interval(4),
+            AbftOptions::default().with_lookahead(2),
+            AbftOptions::default().with_shard(ShardOptions::new(4)),
+        ];
+        for nt in [1, 2, 20, 60] {
+            for kind in SCHEMES {
+                for faulty in [false, true] {
+                    let mut plans: Vec<FactorPlan> = configs
+                        .iter()
+                        .map(|o| {
+                            let r = decision::resolve(o, &tardis, nt * b, b);
+                            for_scheme(kind, nt, &r, faulty)
+                        })
+                        .collect();
+                    plans.push(rebalanced(kind, nt, faulty));
+                    for (c, plan) in plans.iter().enumerate() {
+                        let want = reference_deps(plan);
+                        for &id in plan.order() {
+                            assert_eq!(
+                                plan.deps(id),
+                                &want[id.0][..],
+                                "{kind:?} nt={nt} faulty={faulty} config {c} node {id:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Exact node/edge counts of the clean, default-option plans at the
+    /// paper's scales (placement resolved as the drivers resolve it).
+    #[test]
+    fn paper_scale_plan_counts() {
+        let cases = [
+            (
+                SystemProfile::tardis(),
+                20480,
+                256,
+                [(7549, 238411), (8181, 164623), (8071, 47642)],
+            ),
+            (
+                SystemProfile::bulldozer64(),
+                30720,
+                512,
+                [(4399, 105073), (4871, 75932), (4791, 27264)],
+            ),
+        ];
+        for (profile, n, b, counts) in cases {
+            let opts = decision::resolve(&AbftOptions::default(), &profile, n, b);
+            for (kind, want) in SCHEMES.into_iter().zip(counts) {
+                let plan = for_scheme(kind, n / b, &opts, false);
+                assert_eq!(
+                    (plan.len(), plan.edge_count()),
+                    want,
+                    "{kind:?} on {}",
+                    profile.name
+                );
+            }
+        }
+    }
 }

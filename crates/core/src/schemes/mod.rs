@@ -181,7 +181,25 @@ impl<S: Scalar> FactorOutcome<S> {
 /// * The balance controller rewrites the plan mid-run, which requires
 ///   in-order issue (`lookahead == 0`) and excludes `chk_fused` (both
 ///   rewrites would fight over the same verify batches).
+/// * Tolerance parameters must be finite, with an adaptive gain `alpha > 0`
+///   and `floor ≥ 0`: a NaN or infinite threshold never flags a delta, so
+///   a fault would pass verification and the run would return a wrong
+///   factor as a success.
 pub fn validate_options(opts: &AbftOptions) -> Result<(), MatrixError> {
+    use crate::options::ToleranceModel;
+    let tolerance_ok = match &opts.tolerance {
+        ToleranceModel::Adaptive(t) => {
+            t.alpha.is_finite() && t.alpha > 0.0 && t.floor.is_finite() && t.floor >= 0.0
+        }
+        ToleranceModel::Fixed(p) => {
+            p.abs_tol.is_finite() && p.rel_tol.is_finite() && p.locate_tol.is_finite()
+        }
+    };
+    if !tolerance_ok {
+        return Err(MatrixError::UnsupportedConfig(
+            "tolerance parameters must be finite (adaptive: alpha > 0, floor >= 0)",
+        ));
+    }
     if opts.is_sharded() {
         if opts.balance.is_some() {
             return Err(MatrixError::UnsupportedConfig(

@@ -29,8 +29,16 @@ pub struct Interval {
 /// Kernels are placed in issue order (as real command queues admit them) at
 /// the earliest time that satisfies both constraints for their entire
 /// duration — kernels never migrate or preempt once placed.
+///
+/// The placed intervals are kept sorted by end time. An interval that ends
+/// at or before a time `t` is inactive at every point `p ≥ t` (activity
+/// needs `p < end − EPS`) and contributes no boundary point there, so a
+/// placement at or after `t` never needs to look at it: [`Self::place`]
+/// binary-searches past the intervals ended by each candidate start, and
+/// [`Self::prune`] drains a prefix.
 #[derive(Debug)]
 pub struct KernelScheduler {
+    /// Placed intervals, sorted by end time (ties in placement order).
     active: Vec<Interval>,
     max_concurrent: usize,
     /// Total busy time × resource (for utilization reporting).
@@ -50,6 +58,11 @@ impl KernelScheduler {
         }
     }
 
+    /// Number of leading intervals that end at or before `t`.
+    fn ended_by(&self, t: f64) -> usize {
+        self.active.partition_point(|iv| iv.end <= t)
+    }
+
     /// Place a kernel requiring `resource` of the device for `duration`,
     /// starting no earlier than `earliest`. Returns `(start, end)`.
     pub fn place(
@@ -60,52 +73,43 @@ impl KernelScheduler {
     ) -> (SimTime, SimTime) {
         let resource = resource.clamp(EPS, 1.0);
         let d = duration.as_secs().max(0.0);
-        let e = earliest.as_secs();
 
         // Candidate start times: `earliest` itself, then each moment an
-        // existing interval frees its resources.
-        let mut candidates: Vec<f64> = vec![e];
-        for iv in &self.active {
-            if iv.end > e {
-                candidates.push(iv.end);
+        // existing interval frees its resources — the distinct ends after
+        // `earliest`, which the sort by end yields in ascending order. For
+        // each candidate only the intervals ending after it can matter.
+        let mut start = earliest.as_secs();
+        let mut live = self.ended_by(start);
+        loop {
+            live += self.active[live..].partition_point(|iv| iv.end <= start);
+            if self.fits(&self.active[live..], start, d, resource) {
+                break;
             }
+            // An empty suffix always fits, so a later end exists.
+            start = self.active[live].end;
         }
-        candidates.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-        candidates.dedup();
-
-        let start = candidates
-            .into_iter()
-            .find(|&t| self.fits(t, d, resource))
-            .expect("device eventually drains, so a slot always exists");
 
         let iv = Interval {
             start,
             end: start + d,
             resource,
         };
-        self.active.push(iv);
+        let at = self.ended_by(iv.end);
+        self.active.insert(at, iv);
         self.busy_integral += d * resource;
         (SimTime::secs(iv.start), SimTime::secs(iv.end))
     }
 
-    /// Can a kernel `(resource, duration d)` run throughout `[t, t+d)`?
-    fn fits(&self, t: f64, d: f64, resource: f64) -> bool {
+    /// Can a kernel `(resource, duration d)` run throughout `[t, t+d)`,
+    /// given the intervals `live` that end after `t`?
+    fn fits(&self, live: &[Interval], t: f64, d: f64, resource: f64) -> bool {
         // Constraints only change at interval starts/ends, so it suffices to
         // check every boundary point inside the window plus the window start.
         let end = t + d;
-        let mut points: Vec<f64> = vec![t];
-        for iv in &self.active {
-            if iv.start > t && iv.start < end {
-                points.push(iv.start);
-            }
-            if iv.end > t && iv.end < end {
-                points.push(iv.end);
-            }
-        }
-        points.iter().all(|&p| {
+        let fits_at = |p: f64| {
             let mut usage = 0.0;
             let mut count = 0usize;
-            for iv in &self.active {
+            for iv in live {
                 // Active on [start, end): p inside?
                 if iv.start <= p + EPS && p < iv.end - EPS {
                     usage += iv.resource;
@@ -113,14 +117,20 @@ impl KernelScheduler {
                 }
             }
             usage + resource <= 1.0 + EPS && count < self.max_concurrent
-        })
+        };
+        let inside = |p: f64| p > t && p < end;
+        fits_at(t)
+            && live.iter().all(|iv| {
+                (!inside(iv.start) || fits_at(iv.start)) && (!inside(iv.end) || fits_at(iv.end))
+            })
     }
 
     /// Drop intervals that can no longer influence placement (everything
-    /// ending at or before `horizon`). Call with the host clock after syncs.
+    /// ending at or before `horizon`). Call with the host clock after syncs;
+    /// later placements must not ask for an `earliest` before `horizon`.
     pub fn prune(&mut self, horizon: SimTime) {
-        let h = horizon.as_secs();
-        self.active.retain(|iv| iv.end > h);
+        let ended = self.ended_by(horizon.as_secs());
+        self.active.drain(..ended);
     }
 
     /// Number of intervals still tracked.
@@ -234,5 +244,168 @@ mod tests {
         s.place(t(0.0), t(2.0), 0.5);
         s.place(t(0.0), t(1.0), 1.0);
         assert!((s.busy_integral() - 2.0).abs() < 1e-12);
+    }
+}
+
+/// Equivalence of [`KernelScheduler`] with the plain first-fit it replaced:
+/// rescan every tracked interval, candidates and fit points included, at
+/// every placement.
+#[cfg(test)]
+mod equivalence {
+    use super::{Interval, KernelScheduler, EPS};
+    use crate::time::SimTime;
+    use proptest::prelude::*;
+
+    /// The reference first-fit: `active` in placement order, every interval
+    /// considered for every candidate.
+    struct FirstFit {
+        active: Vec<Interval>,
+        max_concurrent: usize,
+    }
+
+    impl FirstFit {
+        fn new(max_concurrent: usize) -> Self {
+            FirstFit {
+                active: Vec::new(),
+                max_concurrent: max_concurrent.max(1),
+            }
+        }
+
+        fn place(&mut self, e: f64, d: f64, resource: f64) -> (f64, f64) {
+            let resource = resource.clamp(EPS, 1.0);
+            let d = d.max(0.0);
+            let mut candidates: Vec<f64> = vec![e];
+            for iv in &self.active {
+                if iv.end > e {
+                    candidates.push(iv.end);
+                }
+            }
+            candidates.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+            candidates.dedup();
+            let start = candidates
+                .into_iter()
+                .find(|&t| self.fits(t, d, resource))
+                .expect("device eventually drains, so a slot always exists");
+            self.active.push(Interval {
+                start,
+                end: start + d,
+                resource,
+            });
+            (start, start + d)
+        }
+
+        fn fits(&self, t: f64, d: f64, resource: f64) -> bool {
+            let end = t + d;
+            let mut points: Vec<f64> = vec![t];
+            for iv in &self.active {
+                if iv.start > t && iv.start < end {
+                    points.push(iv.start);
+                }
+                if iv.end > t && iv.end < end {
+                    points.push(iv.end);
+                }
+            }
+            points.iter().all(|&p| {
+                let mut usage = 0.0;
+                let mut count = 0usize;
+                for iv in &self.active {
+                    if iv.start <= p + EPS && p < iv.end - EPS {
+                        usage += iv.resource;
+                        count += 1;
+                    }
+                }
+                usage + resource <= 1.0 + EPS && count < self.max_concurrent
+            })
+        }
+
+        fn prune(&mut self, h: f64) {
+            self.active.retain(|iv| iv.end > h);
+        }
+    }
+
+    /// The device fractions of the shipped profiles, plus two that pack
+    /// exactly.
+    const RESOURCES: [f64; 6] = [1.0, 0.93, 0.33, 1.0 / 32.0, 0.25, 0.5];
+    const CAPS: [usize; 5] = [1, 2, 3, 16, 32];
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Place at `horizon + offset` for `duration` with `RESOURCES[r]`.
+        Place {
+            offset: f64,
+            duration: f64,
+            r: usize,
+        },
+        /// Advance the horizon by `step` and prune there.
+        Prune { step: f64 },
+    }
+
+    /// Times drawn from a coarse grid (so starts coincide with ends, as
+    /// stream-ordered launches do) or from a continuum.
+    fn time(max: f64) -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u32..8).prop_map(move |k| k as f64 * max / 8.0),
+            0.0f64..max,
+        ]
+    }
+
+    fn place() -> impl Strategy<Value = Op> {
+        (time(3.0), time(2.0), 0usize..RESOURCES.len()).prop_map(|(offset, duration, r)| {
+            Op::Place {
+                offset,
+                duration,
+                r,
+            }
+        })
+    }
+
+    /// Placements twice as often as prunes, so queues build up between
+    /// syncs as they do on launch-heavy phases.
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let op = prop_oneof![
+            place(),
+            place(),
+            time(1.0).prop_map(|step| Op::Prune { step }),
+        ];
+        proptest::collection::vec(op, 1..160)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Placement by placement, the sorted scheduler returns the
+        /// reference's `(start, end)` bit for bit, across prunes that honour
+        /// the contract (`earliest ≥ horizon`).
+        #[test]
+        fn matches_reference_first_fit(ops in ops(), cap in 0usize..CAPS.len()) {
+            let cap = CAPS[cap];
+            let mut fast = KernelScheduler::new(cap);
+            let mut reference = FirstFit::new(cap);
+            let mut horizon = 0.0f64;
+            for (k, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Place { offset, duration, r } => {
+                        let e = horizon + offset;
+                        let (s, t) = fast.place(
+                            SimTime::secs(e),
+                            SimTime::secs(duration),
+                            RESOURCES[r],
+                        );
+                        let want = reference.place(e, duration, RESOURCES[r]);
+                        prop_assert_eq!(
+                            (s.as_secs().to_bits(), t.as_secs().to_bits()),
+                            (want.0.to_bits(), want.1.to_bits()),
+                            "placement {} of {:?} (cap {})", k, op, cap
+                        );
+                    }
+                    Op::Prune { step } => {
+                        horizon += step;
+                        fast.prune(SimTime::secs(horizon));
+                        reference.prune(horizon);
+                        prop_assert_eq!(fast.tracked(), reference.active.len());
+                    }
+                }
+            }
+        }
     }
 }

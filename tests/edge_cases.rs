@@ -315,3 +315,67 @@ fn bad_caller_input_is_a_typed_error_not_a_panic() {
         ));
     }
 }
+
+/// A non-finite or out-of-range tolerance parameter would silence
+/// detection: the quickstart's storage fault then slips through and the
+/// run returns a wrong factor as a success. Such options are refused up
+/// front instead.
+#[test]
+fn non_finite_tolerance_is_refused_not_a_silent_wrong_factor() {
+    use hchol_core::options::{AdaptiveTolerance, ToleranceModel};
+    use hchol_faults::{FaultTarget, InjectionPoint};
+
+    let (n, b) = (512usize, 32usize);
+    let a = spd_diag_dominant(n, 1);
+    let storage_fault = FaultPlan::single(FaultSpec {
+        point: InjectionPoint::IterStart { iter: 12 },
+        target: FaultTarget {
+            bi: 13,
+            bj: 7,
+            row: 5,
+            col: 9,
+        },
+        kind: FaultKind::storage(),
+    });
+    let adaptive =
+        |alpha: f64, floor: f64| ToleranceModel::Adaptive(AdaptiveTolerance { alpha, floor });
+    let fixed = |abs_tol: f64, rel_tol: f64, locate_tol: f64| {
+        ToleranceModel::Fixed(VerifyPolicy {
+            abs_tol,
+            rel_tol,
+            locate_tol,
+        })
+    };
+    let d = VerifyPolicy::default();
+    let bad = [
+        adaptive(f64::NAN, AdaptiveTolerance::default().floor),
+        adaptive(f64::INFINITY, AdaptiveTolerance::default().floor),
+        adaptive(0.0, AdaptiveTolerance::default().floor),
+        adaptive(-1.0, AdaptiveTolerance::default().floor),
+        adaptive(AdaptiveTolerance::default().alpha, f64::NAN),
+        adaptive(AdaptiveTolerance::default().alpha, f64::INFINITY),
+        adaptive(AdaptiveTolerance::default().alpha, -1.0),
+        fixed(f64::NAN, d.rel_tol, d.locate_tol),
+        fixed(d.abs_tol, f64::INFINITY, d.locate_tol),
+        fixed(d.abs_tol, d.rel_tol, f64::NAN),
+    ];
+    for tolerance in bad {
+        for kind in [SchemeKind::Enhanced, SchemeKind::Offline] {
+            let out = run_scheme(
+                kind,
+                &SystemProfile::tardis(),
+                ExecMode::Execute,
+                n,
+                b,
+                &AbftOptions::default().with_tolerance(tolerance),
+                storage_fault.clone(),
+                Some(&a),
+            );
+            assert!(
+                matches!(out, Err(MatrixError::UnsupportedConfig(_))),
+                "{kind:?} with {tolerance:?}: {:?}",
+                out.map(|o| (o.failed, o.attempts))
+            );
+        }
+    }
+}
