@@ -6,9 +6,10 @@
 //! level-3 engine against the naive seed kernels at n ∈ {256, 512, 1024,
 //! 2048}, then sweeps the threaded engine with and without the fused
 //! checksum epilogue at n ∈ {2048, 4096} × 1/2/4 threads, and writes the
-//! GFLOP/s of every kernel to `BENCH_kernels.json` (machine-readable;
-//! consumed by CI and EXPERIMENTS.md). Pass `--quick` to stop the sweeps at
-//! n = 1024 and shorten per-point timing budgets.
+//! GFLOP/s of every kernel to `BENCH_kernels.json` at the repo root
+//! (machine-readable; consumed by EXPERIMENTS.md). Pass `--quick` to stop
+//! the sweeps at n = 1024 and shorten per-point timing budgets; a quick
+//! run writes `target/bench-quick/BENCH_kernels.json` instead.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use hchol_blas::flops;
@@ -337,10 +338,10 @@ fn main() {
         "\ngemm blocked/naive speedup at n=1024: {:.2}x",
         report.speedup_gemm_n1024
     );
-    let env = hchol_obs::envelope("bench", "kernels", serde::Serialize::to_value(&report));
-    let json = serde_json::to_string_pretty(&env).expect("serialize report");
-    // Anchor to the workspace root: cargo runs benches from the package dir.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    std::fs::write(path, json).expect("write BENCH_kernels.json");
-    println!("wrote {path}");
+    let path = hchol_bench::report::write_bench_artifact(
+        "kernels",
+        quick,
+        serde::Serialize::to_value(&report),
+    );
+    println!("wrote {}", path.display());
 }

@@ -1,7 +1,8 @@
 //! Static vs. adaptive checksum-update placement: the feedback load
 //! balancer (DESIGN.md §11) against the paper's one-shot Optimization-2
 //! decision, on both paper systems and the deliberately mis-described
-//! `Tardis-Skewed` (degraded PCIe link) → `BENCH_balance.json`.
+//! `Tardis-Skewed` (degraded PCIe link) → `BENCH_balance.json` at the repo
+//! root (`target/bench-quick/` under `--quick`).
 //!
 //! On the well-described machines the analytic model is already right, so
 //! the balancer's job is to stay out of the way (`switches == 0`, times
@@ -137,10 +138,10 @@ fn main() {
         balance,
         results,
     };
-    let env = hchol_obs::envelope("bench", "balance", serde::Serialize::to_value(&report));
-    let json = serde_json::to_string_pretty(&env).expect("serialize report");
-    // Anchor to the workspace root: cargo runs binaries from their cwd.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_balance.json");
-    std::fs::write(path, json).expect("write BENCH_balance.json");
-    println!("wrote {path}");
+    let path = hchol_bench::report::write_bench_artifact(
+        "balance",
+        quick,
+        serde::Serialize::to_value(&report),
+    );
+    println!("wrote {}", path.display());
 }

@@ -1,6 +1,7 @@
 //! Fused-epilogue verification overhead: Enhanced Online-ABFT with
 //! `chk_fused` on vs. the separate-recalc baseline, against bare MAGMA,
-//! on both paper systems → `BENCH_fused.json` at the repo root.
+//! on both paper systems → `BENCH_fused.json` at the repo root
+//! (`target/bench-quick/` under `--quick`).
 //!
 //! For each system and size this reports the scheme's verification
 //! overhead relative to the no-ABFT MAGMA baseline, with the checksum
@@ -109,10 +110,10 @@ fn main() {
         quick,
         results,
     };
-    let env = hchol_obs::envelope("bench", "fused", serde::Serialize::to_value(&report));
-    let json = serde_json::to_string_pretty(&env).expect("serialize report");
-    // Anchor to the workspace root: cargo runs binaries from their cwd.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fused.json");
-    std::fs::write(path, json).expect("write BENCH_fused.json");
-    println!("wrote {path}");
+    let path = hchol_bench::report::write_bench_artifact(
+        "fused",
+        quick,
+        serde::Serialize::to_value(&report),
+    );
+    println!("wrote {}", path.display());
 }

@@ -1,7 +1,7 @@
 //! Precision sweep: the same factorization + fault campaign at f64 and
 //! f32, under the fixed f64-calibrated thresholds and under the
 //! variance-based adaptive tolerance → `BENCH_precision.json` at the repo
-//! root.
+//! root (`target/bench-quick/` under `--quick`).
 //!
 //! The artifact is the evidence for the adaptive model's claim: at f64 the
 //! two tolerance models behave identically (clean runs stay silent, every
@@ -244,10 +244,10 @@ fn main() {
     );
 
     let report = Report { quick, results };
-    let env = hchol_obs::envelope("bench", "precision", serde::Serialize::to_value(&report));
-    let json = serde_json::to_string_pretty(&env).expect("serialize report");
-    // Anchor to the workspace root: cargo runs binaries from their cwd.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_precision.json");
-    std::fs::write(path, json).expect("write BENCH_precision.json");
-    println!("wrote {path}");
+    let path = hchol_bench::report::write_bench_artifact(
+        "precision",
+        quick,
+        serde::Serialize::to_value(&report),
+    );
+    println!("wrote {}", path.display());
 }

@@ -1,7 +1,8 @@
 //! Multi-device sharding sweep (DESIGN.md §12): strong and weak scaling
 //! of the 2D block-cyclic factorization over D ∈ {1, 2, 4, 8} simulated
 //! GPUs, plus the cost of a mid-run device-loss recovery →
-//! `BENCH_shard.json`.
+//! `BENCH_shard.json` at the repo root (`target/bench-quick/` under
+//! `--quick`).
 //!
 //! Strong scaling fixes the matrix and grows the grid; the per-iteration
 //! panel must amortize the ring broadcast and parity traffic before extra
@@ -267,10 +268,10 @@ fn main() {
         weak,
         device_loss,
     };
-    let env = hchol_obs::envelope("bench", "shard", serde::Serialize::to_value(&report));
-    let json = serde_json::to_string_pretty(&env).expect("serialize report");
-    // Anchor to the workspace root: cargo runs binaries from their cwd.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
-    std::fs::write(path, json).expect("write BENCH_shard.json");
-    println!("wrote {path}");
+    let path = hchol_bench::report::write_bench_artifact(
+        "shard",
+        quick,
+        serde::Serialize::to_value(&report),
+    );
+    println!("wrote {}", path.display());
 }

@@ -131,6 +131,29 @@ pub fn save_envelope(kind: &str, name: &str, file: &str, body: serde::Value) -> 
     )
 }
 
+/// Write the `BENCH_<name>.json` sweep artifact (versioned envelope,
+/// pretty-printed). A full run replaces the committed file at the
+/// workspace root; a `--quick` run writes
+/// `target/bench-quick/BENCH_<name>.json` instead, so CI can compare it
+/// with the committed file without touching the tree. Returns the path
+/// written.
+pub fn write_bench_artifact(name: &str, quick: bool, body: serde::Value) -> PathBuf {
+    // Anchor to the workspace root: cargo runs binaries and benches from
+    // varying working directories.
+    let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let dir = if quick {
+        root.join("target").join("bench-quick")
+    } else {
+        root
+    };
+    fs::create_dir_all(&dir).expect("create the artifact directory");
+    let path = dir.join(format!("BENCH_{name}.json"));
+    let env = envelope("bench", name, body);
+    let json = serde_json::to_string_pretty(&env).expect("artifact serializes");
+    fs::write(&path, json).expect("write the bench artifact");
+    path
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,8 +26,8 @@
 //! rewritten plans (see [`BalanceOptions::record_plans`]) to
 //! `hchol-analyze`'s static contract checker.
 
-use super::policy::{self, gemm_input_tiles, trsm_input_tiles};
-use super::{FactorPlan, NodeId, SweepKind, TaskKind};
+use super::emit::Emitter;
+use super::{FactorPlan, TaskKind};
 use crate::options::{AbftOptions, BalanceOptions, ChecksumPlacement};
 use crate::schemes::SchemeKind;
 use hchol_gpusim::{EngineUtilization, EngineWindow};
@@ -308,26 +308,26 @@ impl BalanceController {
 
     /// Rewrite the not-yet-executed tail of `plan` (iterations
     /// `>= from_iter`) to the controller's current placement and `K`, then
-    /// re-derive the dependency edges. Nodes of iterations `< from_iter`
-    /// are never touched, so the executor's cursor stays valid.
+    /// re-derive the dependency edges: the order is cut at iteration
+    /// `from_iter`'s first node and iterations `from_iter..nt` and the
+    /// tail are re-emitted by the planner (see [`super::emit`]) under the
+    /// new placement and `K`. Nodes of iterations `< from_iter` are never
+    /// touched, so the executor's cursor stays valid.
     ///
-    /// Placement: [`TaskKind::MirrorPanel`] nodes for the remaining
-    /// iterations are inserted (CPU) or removed (GPU), mirroring
-    /// [`policy::apply_placement`]. `K`: the K-gated GEMM/TRSM input
-    /// checks of remaining iterations are inserted or removed to match
-    /// `j % K == 0` (Enhanced scheme only — the other schemes have no
-    /// gated checks). The every-iteration SYRK/POTF2 checks are never
-    /// touched, so the plancheck K-relaxation contract (DESIGN.md §9.4)
-    /// keeps holding; with `record_plans` on, a snapshot of the rewritten
-    /// plan is kept so tests re-prove it.
+    /// The re-emitted iterations carry panel mirrors exactly when the new
+    /// placement is CPU, and — Enhanced only, the other schemes have no
+    /// gated checks — the GEMM/TRSM input checks of `j % K == 0`. The
+    /// every-iteration SYRK/POTF2 checks are re-emitted unchanged, so the
+    /// plancheck K-relaxation contract (DESIGN.md §9.4) keeps holding;
+    /// with `record_plans` on, a snapshot of the rewritten plan is kept so
+    /// tests re-prove it.
     pub fn rewrite(&mut self, plan: &mut FactorPlan, from_iter: usize) {
-        let nt = plan.nt;
-        for j in from_iter..nt {
-            self.rewrite_mirror(plan, j);
-            if self.scheme == SchemeKind::Enhanced {
-                self.rewrite_gated_checks(plan, j);
-            }
-        }
+        debug_assert!(plan.shard.is_none(), "balanced plans are unsharded");
+        plan.truncate_at_iter(from_iter);
+        // Balanced runs never fuse (asserted in `new`), so the re-emitted
+        // suffix needs no fused-coverage state from the kept prefix.
+        Emitter::scheme(self.scheme, plan.nt, self.placement, self.k, false)
+            .emit_from(plan, from_iter);
         plan.cpu_mirrors = plan
             .find(|n| matches!(n.kind, TaskKind::MirrorPanel { .. }))
             .is_some();
@@ -341,83 +341,12 @@ impl BalanceController {
             });
         }
     }
-
-    fn rewrite_mirror(&self, plan: &mut FactorPlan, j: usize) {
-        let existing = plan.find(|n| matches!(n.kind, TaskKind::MirrorPanel { j: jj } if jj == j));
-        let want = self.placement == ChecksumPlacement::Cpu;
-        match (want, existing) {
-            (true, None) => {
-                let last = plan
-                    .rfind(|n| n.iter == Some(j))
-                    .expect("iteration has nodes");
-                plan.insert_after(last, TaskKind::MirrorPanel { j }, None, Some(j));
-            }
-            (false, Some(id)) => plan.remove(id),
-            _ => {}
-        }
-    }
-
-    fn rewrite_gated_checks(&self, plan: &mut FactorPlan, j: usize) {
-        let nt = plan.nt;
-        let has_panel = j + 1 < nt;
-        let verifies = j.is_multiple_of(self.k.max(1));
-        let gemm = (
-            has_panel && j > 0,
-            gemm_input_tiles(nt, j),
-            plan.find(|n| matches!(n.kind, TaskKind::GemmPanel { j: jj, .. } if jj == j)),
-        );
-        let trsm = (
-            has_panel,
-            trsm_input_tiles(nt, j),
-            plan.find(|n| matches!(n.kind, TaskKind::TrsmPanel { j: jj, .. } if jj == j)),
-        );
-        for (applies, tiles, anchor) in [gemm, trsm] {
-            if !applies {
-                continue;
-            }
-            let anchor = anchor.expect("factorization node present when its check applies");
-            let existing = find_check_pair(plan, j, &tiles);
-            match (verifies, existing) {
-                (true, None) => policy::insert_check_before(plan, anchor, tiles, j),
-                (false, Some((vb, cor))) => {
-                    plan.remove(vb);
-                    plan.remove(cor);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Locate the inline verify/correct pair of iteration `j` covering exactly
-/// `tiles` (the pair [`policy::insert_check_before`] creates — the
-/// `Correct` is adjacent to its `VerifyBatch` in the order).
-fn find_check_pair(
-    plan: &FactorPlan,
-    j: usize,
-    tiles: &[(usize, usize)],
-) -> Option<(NodeId, NodeId)> {
-    let order = plan.order();
-    let pos = order.iter().position(|&id| {
-        let n = plan.node(id);
-        n.iter == Some(j)
-            && matches!(
-                &n.kind,
-                TaskKind::VerifyBatch { tiles: t, sweep: SweepKind::Inline, fused: false, .. }
-                    if t == tiles
-            )
-    })?;
-    let cor = order[pos + 1];
-    debug_assert!(
-        matches!(&plan.node(cor).kind, TaskKind::Correct { tiles: t, .. } if t == tiles),
-        "verify/correct pairs are adjacent"
-    );
-    Some((order[pos], cor))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::emit::gemm_input_tiles;
     use crate::plan::for_scheme;
 
     fn opts_with(b: BalanceOptions) -> AbftOptions {
@@ -565,7 +494,12 @@ mod tests {
         let mut plan = for_scheme(SchemeKind::Enhanced, nt, &opts, false);
         let mut ctrl = BalanceController::new(SchemeKind::Enhanced, &opts);
         let gemm_check = |plan: &FactorPlan, j: usize| {
-            find_check_pair(plan, j, &gemm_input_tiles(nt, j)).is_some()
+            let tiles = gemm_input_tiles(nt, j);
+            plan.find(|n| {
+                n.iter == Some(j)
+                    && matches!(&n.kind, TaskKind::VerifyBatch { tiles: t, .. } if *t == tiles)
+            })
+            .is_some()
         };
         // Two quiet windows: K = 3. Rewrite from iteration 4.
         ctrl.step_window(2, quiet(0.5, 0.5, 0.0), 0);

@@ -5,12 +5,16 @@
 //! an authored issue order, each carrying the same tile-level
 //! [`AccessSet`] declarations the simulator's kernels declare, plus
 //! explicit dependency edges derived from those declarations. The planner
-//! ([`skeleton`]) emits the bare Algorithm-1 iteration skeleton; each
-//! scheme is a *policy pass* ([`policy::EnhancedPolicy`],
-//! [`policy::OnlinePolicy`], [`policy::OfflinePolicy`]) that inserts
-//! encode/verify/update nodes into that skeleton, and the paper's
-//! optimizations are plan rewrites (Opt 3 decides *which* verify nodes are
-//! inserted; Opt 2's CPU placement inserts the panel-mirror nodes).
+//! ([`emit`]) builds each plan in one forward pass: a head, `nt`
+//! Algorithm-1 iterations and a tail, each node pushed once in authored
+//! order. One per-iteration emitter decides, per scheme, where the
+//! verify/correct pairs sit (Offline at the end, Online after each write,
+//! Enhanced before each read), which of them Optimization 3's interval `K`
+//! keeps, the panel mirrors of Optimization 2's CPU placement, and the
+//! fused producers and compare-only batches of `chk_fused`. The balance
+//! controller ([`balance`]) re-emits the not-yet-executed iterations
+//! through the same emitter; the multi-device split ([`shard`]) stays a
+//! post-pass over the emitted order.
 //!
 //! The plan is built once per run, statically — tiles are named with
 //! canonical buffer ids (`mat = BufferId(0)`, `cks[bi] = BufferId(1+bi)`),
@@ -24,11 +28,10 @@
 //! scheme's ABFT contract *before* execution.
 
 pub mod balance;
+pub mod emit;
 pub mod exec;
-pub mod policy;
 pub mod shard;
 mod shard_rt;
-pub mod skeleton;
 
 use crate::ops;
 use hchol_faults::InjectionPoint;
@@ -89,7 +92,7 @@ pub enum ShardXfer {
 ///
 /// There is one kind per kernel. Plan rewrites that change how a kernel
 /// runs set a field on its node rather than swapping in a twin kind: the
-/// fused checksum epilogue ([`policy::apply_chk_fused`]) sets `fused` on
+/// fused checksum epilogue (`chk_fused`, decided by [`emit`]) sets `fused` on
 /// [`TaskKind::Syrk`] / [`TaskKind::GemmPanel`] and on the verify pairs,
 /// and the multi-device split ([`shard::apply_shard`]) copies each
 /// [`TaskKind::GemmPanel`] / [`TaskKind::TrsmPanel`] once per device with
@@ -368,8 +371,9 @@ pub struct FactorPlan {
     /// chain so injection and propagation stay in authored order under
     /// reordering policies.
     pub faulty: bool,
-    /// Plans panel mirrors for CPU checksum placement (set by
-    /// [`policy::apply_placement`]).
+    /// The plan holds panel mirrors for CPU checksum placement (set by
+    /// the planner; after a balancer rewrite, any [`TaskKind::MirrorPanel`]
+    /// anywhere in the plan keeps it set).
     pub cpu_mirrors: bool,
     /// The shard grid, when the plan was rewritten by
     /// [`shard::apply_shard`] (`None` = single device).
@@ -459,6 +463,28 @@ impl FactorPlan {
         self.order.retain(|&n| n != id);
     }
 
+    /// Cut the issue order at iteration `j`'s first node — or at the tail,
+    /// if the plan has no iteration `j` — keeping the head and iterations
+    /// `< j`. A plan emitted in one pass stores its nodes in issue order,
+    /// so the cut-off suffix is the tail of node storage and is released.
+    pub(crate) fn truncate_at_iter(&mut self, j: usize) {
+        let iter_of = |id: &NodeId| self.nodes[id.0].iter;
+        let head = self
+            .order
+            .iter()
+            .take_while(|id| iter_of(id).is_none())
+            .count();
+        let kept = self.order[head..]
+            .iter()
+            .take_while(|id| iter_of(id).is_some_and(|i| i < j))
+            .count();
+        let cut = self.order.split_off(head + kept);
+        let base = self.nodes.len() - cut.len();
+        if cut.iter().enumerate().all(|(k, id)| id.0 == base + k) {
+            self.nodes.truncate(base);
+        }
+    }
+
     /// First node in issue order matching `pred`.
     pub fn find(&self, mut pred: impl FnMut(&PlanNode) -> bool) -> Option<NodeId> {
         self.order
@@ -498,7 +524,7 @@ impl FactorPlan {
         &self.nodes[id.0]
     }
 
-    /// Mutable access to a node (policies flip `propagate` flags).
+    /// Mutable access to a node (the shard split moves `propagate` flags).
     pub fn node_mut(&mut self, id: NodeId) -> &mut PlanNode {
         &mut self.nodes[id.0]
     }
@@ -905,26 +931,48 @@ impl FactorPlan {
     }
 }
 
-/// Build the fully policied plan for one ABFT scheme: Algorithm-1 skeleton
-/// → scheme policy pass → placement rewrite → derived edges. `opts` must
-/// carry a *resolved* placement (no `Auto`).
+/// Build the plan for one ABFT scheme: the emitted order (scheme checks,
+/// `K` gating, placement mirrors, fused batches) → the shard split, if
+/// any → derived edges. `opts` must carry a *resolved* placement (no
+/// `Auto`).
+///
+/// # Examples
+///
+/// CPU placement adds one [`TaskKind::MirrorPanel`] per iteration, and
+/// `chk_fused` turns verify batches over fused deposits compare-only:
+///
+/// ```
+/// use hchol_core::options::{AbftOptions, ChecksumPlacement};
+/// use hchol_core::plan::{for_scheme, TaskKind};
+/// use hchol_core::schemes::SchemeKind;
+///
+/// let opts = AbftOptions::default()
+///     .with_placement(ChecksumPlacement::Cpu)
+///     .with_chk_fused(true);
+/// let plan = for_scheme(SchemeKind::Enhanced, 4, &opts, false);
+/// assert!(plan.cpu_mirrors);
+/// let count = |f: fn(&TaskKind) -> bool| {
+///     plan.order().iter().filter(|&&id| f(&plan.node(id).kind)).count()
+/// };
+/// assert_eq!(count(|k| matches!(k, TaskKind::MirrorPanel { .. })), 4);
+/// assert!(count(|k| matches!(k, TaskKind::VerifyBatch { fused: true, .. })) > 0);
+/// ```
 pub fn for_scheme(
     kind: crate::schemes::SchemeKind,
     nt: usize,
     opts: &crate::options::AbftOptions,
     faulty: bool,
 ) -> FactorPlan {
-    use policy::PolicyPass;
-    let mut plan = skeleton::algorithm1(nt, DriveStyle::Overlapped, false, faulty);
-    match kind {
-        crate::schemes::SchemeKind::Enhanced => policy::EnhancedPolicy.apply(&mut plan, opts),
-        crate::schemes::SchemeKind::Online => policy::OnlinePolicy.apply(&mut plan, opts),
-        crate::schemes::SchemeKind::Offline => policy::OfflinePolicy.apply(&mut plan, opts),
-    }
-    if opts.chk_fused && kind == crate::schemes::SchemeKind::Enhanced {
-        policy::apply_chk_fused(&mut plan);
-    }
-    policy::apply_placement(&mut plan, opts.placement);
+    let mut plan = FactorPlan::new(nt, DriveStyle::Overlapped, false, faulty);
+    emit::Emitter::scheme(
+        kind,
+        nt,
+        opts.placement,
+        opts.verify_interval,
+        opts.chk_fused,
+    )
+    .emit(&mut plan);
+    plan.cpu_mirrors = opts.placement == crate::options::ChecksumPlacement::Cpu;
     if let Some(s) = &opts.shard {
         if s.devices > 1 {
             shard::apply_shard(&mut plan, s.devices);
@@ -936,14 +984,17 @@ pub fn for_scheme(
 
 /// The bare MAGMA hybrid baseline as a plan (no fault tolerance).
 pub fn for_magma(nt: usize) -> FactorPlan {
-    let mut plan = skeleton::algorithm1(nt, DriveStyle::Overlapped, true, false);
-    plan.derive_deps();
-    plan
+    baseline(nt, DriveStyle::Overlapped)
 }
 
 /// The synchronous CULA-style baseline as a plan (no fault tolerance).
 pub fn for_cula(nt: usize) -> FactorPlan {
-    let mut plan = skeleton::algorithm1(nt, DriveStyle::Synchronous, true, false);
+    baseline(nt, DriveStyle::Synchronous)
+}
+
+fn baseline(nt: usize, style: DriveStyle) -> FactorPlan {
+    let mut plan = FactorPlan::new(nt, style, true, false);
+    emit::Emitter::baseline(nt, style).emit(&mut plan);
     plan.derive_deps();
     plan
 }

@@ -29,8 +29,8 @@
 
 use super::{FactorPlan, NodeId, ShardSpec, ShardXfer, TaskKind};
 
-/// Rewrite `plan` for `devices` GPUs. Must run after the scheme policy
-/// and placement passes and before [`FactorPlan::derive_deps`]. Callers
+/// Rewrite `plan` for `devices` GPUs. Must run on the emitted plan
+/// (see [`super::emit`]) and before [`FactorPlan::derive_deps`]. Callers
 /// gate on `devices > 1` — a one-device grid is represented as an
 /// unsharded plan (`plan.shard = None`) so the byte-stable single-device
 /// path is untouched.

@@ -12,8 +12,8 @@
 //!   *before* it is read, correcting both error species before they can
 //!   propagate.
 //!
-//! Each scheme is expressed as a **policy pass** over the shared
-//! Algorithm-1 task-graph skeleton (see [`crate::plan`]); this module owns
+//! Each scheme is one variant of the shared Algorithm-1 iteration the
+//! planner emits (see [`crate::plan`]); this module owns
 //! the driver loop — build the plan once, then run attempts of it through
 //! the plan executor until the factorization completes or the restart
 //! budget is spent.
@@ -241,6 +241,38 @@ pub fn validate_options(opts: &AbftOptions) -> Result<(), MatrixError> {
     Ok(())
 }
 
+/// Check a fault plan against the run it is meant for, *before* anything
+/// is allocated: every element fault must target a tile of the `n / b`
+/// grid (`bi`, `bj`) and an element of a `b × b` tile (`row`, `col`), and
+/// on a sharded run every device loss must name one of its devices.
+/// Otherwise Execute mode would index out of bounds and TimingOnly mode
+/// would silently drop the fault. A zero block size is left to the
+/// setup's own refusal.
+fn validate_fault_plan(
+    plan: &FaultPlan,
+    n: usize,
+    b: usize,
+    opts: &AbftOptions,
+) -> Result<(), MatrixError> {
+    let Some(nt) = n.checked_div(b) else {
+        return Ok(());
+    };
+    let off_grid =
+        |t: &hchol_faults::FaultTarget| t.bi >= nt || t.bj >= nt || t.row >= b || t.col >= b;
+    if plan.faults.iter().any(|f| off_grid(&f.target)) {
+        return Err(MatrixError::UnsupportedConfig(
+            "fault target lies outside the run's tile grid (bi, bj < n/b; row, col < b)",
+        ));
+    }
+    let devices = opts.shard.as_ref().map_or(1, |s| s.devices);
+    if opts.is_sharded() && plan.device_losses.iter().any(|l| l.device >= devices) {
+        return Err(MatrixError::UnsupportedConfig(
+            "device loss names a device outside the shard grid",
+        ));
+    }
+    Ok(())
+}
+
 /// Run `kind` on the given system at size `n`, block `b`, with the fault
 /// plan `plan`. `input` must be `Some` in Execute mode.
 ///
@@ -282,6 +314,7 @@ pub fn run_scheme_typed<S: Scalar>(
     input: Option<&Matrix<S>>,
 ) -> Result<FactorOutcome<S>, MatrixError> {
     validate_options(opts)?;
+    validate_fault_plan(&plan, n, b, opts)?;
     let devices = opts.shard.as_ref().map_or(1, |s| s.devices);
     let provisioned;
     let profile = if devices > profile.devices {

@@ -277,3 +277,101 @@ fn balanced_execute_run_matches_static_factor() {
         "balancing must not perturb numerics"
     );
 }
+
+/// A rewrite is a re-emission: after `BalanceController::rewrite(plan, j)`
+/// installs placement P and interval K, the plan from iteration `j` onward
+/// is, node for node (kind, span label, iteration), the suffix of a fresh
+/// plan built with P and K, and the executed prefix is untouched. Covers
+/// Enhanced and Online, both switch directions, a K change without a
+/// switch, and a second rewrite on an already rewritten plan.
+#[test]
+fn rewritten_suffix_matches_a_fresh_build() {
+    use hchol_core::plan::for_scheme;
+    use hchol_gpusim::EngineWindow;
+
+    type Row = (String, Option<String>, Option<usize>);
+    let rows = |plan: &FactorPlan| -> Vec<Row> {
+        plan.order()
+            .iter()
+            .map(|&id| {
+                let n = plan.node(id);
+                let label = n.scope.map(|s| plan.scopes()[s.0].label.clone());
+                (format!("{:?}", n.kind), label, n.iter)
+            })
+            .collect()
+    };
+    // Position of iteration `j`'s first node.
+    let cut = |plan: &FactorPlan, j: usize| {
+        plan.order()
+            .iter()
+            .position(|&id| plan.node(id).iter == Some(j))
+            .expect("plan has iteration j")
+    };
+    let window = |gpu: f64, cpu: f64, queue: f64| {
+        Some(EngineWindow {
+            wall_secs: 1.0,
+            gpu_util: gpu,
+            cpu_util: cpu,
+            dma_util: 0.0,
+            queue_frac: queue,
+        })
+    };
+    let to_cpu = window(0.9, 0.1, 0.6);
+    let to_gpu = window(0.1, 0.9, 0.0);
+    let quiet = window(0.5, 0.5, 0.0);
+
+    let nt = 12;
+    let cases = [
+        (
+            SchemeKind::Enhanced,
+            ChecksumPlacement::Gpu,
+            [to_cpu, to_gpu],
+        ),
+        (
+            SchemeKind::Enhanced,
+            ChecksumPlacement::Cpu,
+            [to_gpu, quiet],
+        ),
+        (SchemeKind::Enhanced, ChecksumPlacement::Gpu, [quiet, quiet]),
+        (SchemeKind::Online, ChecksumPlacement::Gpu, [to_cpu, to_gpu]),
+        (SchemeKind::Online, ChecksumPlacement::Cpu, [to_gpu, to_cpu]),
+    ];
+    for (kind, start, windows) in cases {
+        for faulty in [false, true] {
+            let opts = AbftOptions::default()
+                .with_placement(start)
+                .with_balance(B::default().with_k_bounds(1, 3).with_cooldown(0));
+            let mut plan = for_scheme(kind, nt, &opts, faulty);
+            let mut ctrl = BalanceController::new(kind, &opts);
+            let mut switched = 0;
+            for (w, j) in windows.into_iter().zip([4usize, 7]) {
+                let before = rows(&plan);
+                let keep = cut(&plan, j);
+                let d = ctrl.step_window(j, w, 0);
+                switched += usize::from(d.switched);
+                ctrl.rewrite(&mut plan, j);
+                let fresh = for_scheme(
+                    kind,
+                    nt,
+                    &opts
+                        .clone()
+                        .with_placement(ctrl.placement())
+                        .with_interval(ctrl.k()),
+                    faulty,
+                );
+                let got = rows(&plan);
+                let what = format!("{kind:?} from {start:?} faulty={faulty}, rewrite at j={j}");
+                assert_eq!(got[..keep], before[..keep], "{what}: prefix changed");
+                assert_eq!(
+                    got[keep..],
+                    rows(&fresh)[cut(&fresh, j)..],
+                    "{what} to {:?} K={}",
+                    ctrl.placement(),
+                    ctrl.k()
+                );
+            }
+            let expect_switches = windows.iter().filter(|w| **w != quiet).count();
+            assert_eq!(switched, expect_switches, "{kind:?} from {start:?}");
+        }
+    }
+}

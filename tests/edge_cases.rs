@@ -314,6 +314,62 @@ fn bad_caller_input_is_a_typed_error_not_a_panic() {
             Err(MatrixError::UnsupportedConfig(_))
         ));
     }
+    // A fault plan naming a tile or element outside the grid, or a lost
+    // device outside the shard grid: refused in both modes, before the
+    // run indexes out of bounds (Execute) or drops the fault (TimingOnly).
+    let (n, b) = (256usize, 32usize);
+    let big = spd_diag_dominant(n, 7);
+    let at = |bi: usize, bj: usize, row: usize, col: usize| {
+        FaultPlan::single(FaultSpec {
+            point: hchol_faults::InjectionPoint::IterStart { iter: 2 },
+            target: hchol_faults::FaultTarget { bi, bj, row, col },
+            kind: FaultKind::storage(),
+        })
+    };
+    let sharded = opts
+        .clone()
+        .with_shard(hchol_core::options::ShardOptions::new(2));
+    let bad = [
+        (at(99, 3, 1, 1), &opts),
+        (at(3, 99, 1, 1), &opts),
+        (at(3, 1, 999, 1), &opts),
+        (at(3, 1, 1, 32), &opts),
+        (FaultPlan::device_loss(7, 2), &sharded),
+        (FaultPlan::device_loss(2, 2), &sharded),
+    ];
+    for (faults, o) in bad {
+        for mode in [ExecMode::Execute, ExecMode::TimingOnly] {
+            let input = mode.executes().then_some(&big);
+            assert!(
+                matches!(
+                    run_scheme(
+                        SchemeKind::Enhanced,
+                        &p,
+                        mode,
+                        n,
+                        b,
+                        o,
+                        faults.clone(),
+                        input
+                    ),
+                    Err(MatrixError::UnsupportedConfig(_))
+                ),
+                "{faults:?} in {mode:?} must be refused"
+            );
+        }
+    }
+    // The last tile and element of the grid are in range.
+    let edge = run_scheme(
+        SchemeKind::Enhanced,
+        &p,
+        ExecMode::Execute,
+        n,
+        b,
+        &opts,
+        at(7, 7, 31, 31),
+        Some(&big),
+    );
+    assert!(edge.is_ok(), "{:?}", edge.err());
 }
 
 /// A non-finite or out-of-range tolerance parameter would silence
